@@ -140,7 +140,7 @@ def _prepare(run: RunConfig):
 
 def cmd_warmup(run: RunConfig, args) -> int:
     store, annotations, assignment = _prepare(run)
-    params, _ = warmup(store, annotations, run.init_strategy, run.train, assignment)
+    params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model.warmup.cfp", params)
@@ -152,9 +152,9 @@ def cmd_warmup(run: RunConfig, args) -> int:
     return 0
 
 
-def run_cotrain_pipeline(run: RunConfig, workers: int | None, check: bool) -> RetrievalMetrics:
+def run_cotrain_pipeline(run: RunConfig, check: bool) -> RetrievalMetrics:
     store, annotations, assignment = _prepare(run)
-    warm_params, _ = warmup(store, annotations, run.init_strategy, run.train, assignment)
+    warm_params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "cotrain_log.jsonl"
@@ -163,10 +163,7 @@ def run_cotrain_pipeline(run: RunConfig, workers: int | None, check: bool) -> Re
             log_fh.write(json.dumps(rec) + "\n")
             log_fh.flush()
 
-        result = cotrain(
-            warm_params, assignment, store, run.cotrain,
-            workers=workers, on_epoch=on_epoch,
-        )
+        result = cotrain(warm_params, assignment, store, run.cotrain, on_epoch=on_epoch)
     save_checkpoint(out / "model.student.cfp", result.best_student)
     save_checkpoint(out / "model.teacher.cfp", result.teacher)
     write_edits(out / "edits.jsonl", result.last_edits)
@@ -192,7 +189,7 @@ def run_cotrain_pipeline(run: RunConfig, workers: int | None, check: bool) -> Re
 
 
 def cmd_cotrain(run: RunConfig, args) -> int:
-    metrics = run_cotrain_pipeline(run, args.workers, args.check)
+    metrics = run_cotrain_pipeline(run, args.check)
     print(f"cotrain done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     return 0
 
@@ -235,7 +232,7 @@ def cmd_ablate(run: RunConfig, args) -> int:
         sub_run = build_run_config(sub_cfg)
         sub_name = f"{args.axis}_{str(value).replace(':', '-').replace('/', '-')}"
         sub_run = replace(sub_run, out_dir=str(out / sub_name))
-        metrics = run_cotrain_pipeline(sub_run, args.workers, args.check)
+        metrics = run_cotrain_pipeline(sub_run, args.check)
         rows.append([value, metrics.r_at[1], metrics.r_at[5], metrics.r_at[10], metrics.med_r])
         print(f"{args.axis}={value}: R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     with (out / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:
@@ -253,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config value by dotted path (repeatable)",
     )
     common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument("--workers", type=int, default=None, help="editing parallelism")
     common.add_argument("--check", action="store_true", help="re-validate outputs after writing")
 
     parser = argparse.ArgumentParser(prog="clipedit")

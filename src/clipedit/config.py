@@ -137,19 +137,7 @@ class RunConfig:
     init_strategy: InitStrategy
     jitter_fraction: float
     max_jitter_s: float
-    train: TrainConfig
-    edit: EditConfig
-    gamma: float
-    patience: int
-    max_epochs: int
-    teacher_mode: str
-
-    @property
-    def cotrain(self) -> CoTrainConfig:
-        return CoTrainConfig(
-            gamma=self.gamma, patience=self.patience, max_epochs=self.max_epochs,
-            teacher_mode=self.teacher_mode, train=self.train, edit=self.edit,
-        )
+    cotrain: CoTrainConfig
 
 
 def build_run_config(cfg: dict) -> RunConfig:
@@ -171,8 +159,15 @@ def build_run_config(cfg: dict) -> RunConfig:
         raise ConfigError("features_dir requires annotations_file")
     try:
         strategy = InitStrategy.parse(str(cfg["init_strategy"]))
-        train = TrainConfig(**cfg["train"])
-        edit = EditConfig(**cfg["edit"])
+        co = cfg["cotrain"]
+        cotrain = CoTrainConfig(
+            train=TrainConfig(**cfg["train"]),
+            edit=EditConfig(**cfg["edit"]),
+            gamma=float(co["gamma"]),
+            patience=int(co["patience"]),
+            max_epochs=int(co["max_epochs"]),
+            teacher_mode=str(co["teacher_mode"]),
+        )
         run = RunConfig(
             seed=int(cfg["seed"]),
             features_dir=cfg["features_dir"],
@@ -182,16 +177,8 @@ def build_run_config(cfg: dict) -> RunConfig:
             init_strategy=strategy,
             jitter_fraction=float(cfg["jitter_fraction"]),
             max_jitter_s=float(cfg["max_jitter_s"]),
-            train=train,
-            edit=edit,
-            gamma=float(cfg["cotrain"]["gamma"]),
-            patience=int(cfg["cotrain"]["patience"]),
-            max_epochs=int(cfg["cotrain"]["max_epochs"]),
-            teacher_mode=str(cfg["cotrain"]["teacher_mode"]),
+            cotrain=cotrain,
         )
-        run.cotrain  # construct once so field errors surface here
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if not 0.0 <= run.jitter_fraction <= 1.0:

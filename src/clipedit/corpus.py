@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .timeline import Interval
+from .timeline import Interval, segment_grid
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +170,9 @@ def write_annotations(path: str | Path, annotations: list[CaptionAnnotation]) ->
 def load_annotations(path: str | Path, store: FeatureStore | None = None) -> list[CaptionAnnotation]:
     """Parse and validate an annotation file, sorted by (video_id, timestamp).
 
-    When `store` is given, every video_id must resolve and every timestamp
-    must lie within its video's span.
+    When `store` is given, every video_id must resolve, every timestamp
+    must lie within its video's span, and every caption must have
+    caption features.
     """
     path = Path(path)
     out: list[CaptionAnnotation] = []
@@ -208,16 +209,19 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if ann.caption_id in seen:
                 raise ValueError(f"{path}:{lineno}: duplicate caption_id {ann.caption_id!r}")
+            if store is not None:
+                rec = store.videos.get(ann.video_id)
+                if rec is None:
+                    raise ValueError(f"{path}:{lineno}: unknown video_id {ann.video_id!r}")
+                if not rec.span.contains(ann.timestamp_s):
+                    raise ValueError(
+                        f"{path}:{lineno}: caption {ann.caption_id}: timestamp "
+                        f"{ann.timestamp_s} outside video span [0.0, {rec.duration_s}]"
+                    )
+                if ann.caption_id not in store.caption_features:
+                    raise ValueError(f"{path}:{lineno}: no caption features for {ann.caption_id!r}")
             seen.add(ann.caption_id)
             out.append(ann)
-    if store is not None:
-        for ann in out:
-            span = store.video_span(ann.video_id)
-            if not span.contains(ann.timestamp_s):
-                raise ValueError(
-                    f"caption {ann.caption_id}: timestamp {ann.timestamp_s} outside "
-                    f"video span [{span.start_s}, {span.end_s}]"
-                )
     out.sort(key=lambda a: (a.video_id, a.timestamp_s))
     return out
 
@@ -459,6 +463,4 @@ def segment_features(store: FeatureStore, video_id: str, grid) -> np.ndarray:
 
 def clip_features(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
     """Segment-feature matrix for a clip on its default grid."""
-    from .timeline import segment_grid
-
     return segment_features(store, ref.video_id, segment_grid(ref.interval, seg_len_s))

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore
+from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore, clip_features
 from .editor import EditConfig, EditResult, edit_all
 from .encoder import (
     EncoderParams,
@@ -157,8 +157,6 @@ def warmup(
 def diagonal_similarity(
     params: EncoderParams, store: FeatureStore, ref: ClipRef, caption_id: str
 ) -> float:
-    from .corpus import clip_features
-
     return similarity(
         embed_clip(params, clip_features(store, ref)),
         embed_caption(params, store.caption_features[caption_id]),
@@ -192,7 +190,6 @@ def cotrain(
     assignment: ClipAssignment,
     store: FeatureStore,
     cfg: CoTrainConfig,
-    workers: int | None = None,
     on_epoch: Callable[[dict], None] | None = None,
 ) -> CoTrainResult:
     """Run the editing/training loop; see module docstring for the shape.
@@ -223,7 +220,7 @@ def cotrain(
 
     for epoch in range(1, cfg.max_epochs + 1):
         editor_params = student if cfg.teacher_mode == "self" else teacher
-        clips, edits = edit_all(editor_params, store, assignment, cfg.edit, workers=workers)
+        clips, edits = edit_all(editor_params, store, assignment, cfg.edit)
         last_edits = edits
         _, train_loss = train_epoch(student, store, clips, cfg.train, rng, optimizer)
         monitor = monitor_metric(student, store, control)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .corpus import ClipAssignment, ClipRef, FeatureStore, segment_features
 from .encoder import EncoderParams, embed_caption
-from .timeline import Interval, SegmentGrid, segment_grid
+from .timeline import Interval, SegmentGrid, iou, segment_grid
 
 
 @dataclass(frozen=True)
@@ -76,32 +75,27 @@ def enumerate_candidates(
     return out
 
 
-def _pair_iou(a: Interval, b: Interval) -> float:
-    # Written out (rather than calling timeline.iou) in the one canonical
-    # expression shared with the tests' oracle, so consensus scores of
-    # mathematically tied candidates are bit-equal and tie-breaks fire.
-    inter = min(a.end_s, b.end_s) - max(a.start_s, b.start_s)
-    if inter <= 0.0:
-        return 0.0
-    return inter / (a.length_s + b.length_s - inter)
-
-
 def consensus_argmax(candidates: list[Interval]) -> int:
     """Index of the candidate maximizing Σ_k IoU(cand_j, cand_k).
 
     The self term (a constant +1) is included. Ties break toward the
-    longer interval, then the earlier start.
+    longer interval, then the earlier start. The C×C IoU matrix repeats
+    `timeline.iou`'s expression elementwise, so mathematically tied
+    candidates score bit-equal and the tie-breaks fire.
     """
     if not candidates:
         raise ValueError("consensus over empty candidate list")
-    best_i = -1
-    best_key: tuple[float, float, float] | None = None
-    for j, cand in enumerate(candidates):
-        score = math.fsum(_pair_iou(cand, other) for other in candidates)
-        key = (score, cand.length_s, -cand.start_s)
-        if best_key is None or key > best_key:
-            best_i, best_key = j, key
-    return best_i
+    starts = np.array([c.start_s for c in candidates])
+    ends = np.array([c.end_s for c in candidates])
+    lengths = ends - starts
+    inter = np.minimum.outer(ends, ends) - np.maximum.outer(starts, starts)
+    union = np.add.outer(lengths, lengths) - inter
+    matrix = np.where(inter > 0.0, inter / union, 0.0)
+    keys = [
+        (math.fsum(row), length, -start)
+        for row, length, start in zip(matrix.tolist(), lengths.tolist(), starts.tolist())
+    ]
+    return max(range(len(keys)), key=keys.__getitem__)
 
 
 def consensus_select(candidates: list[Interval]) -> Interval:
@@ -130,9 +124,7 @@ def edit_from_sims(
     pairs_and_intervals = enumerate_candidates(topk, grid)
     winner = consensus_argmax([iv for _, iv in pairs_and_intervals])
     pair, edited = pairs_and_intervals[winner]
-    inter = min(initial.end_s, edited.end_s) - max(initial.start_s, edited.start_s)
-    gate_iou = 0.0 if inter <= 0 else inter / (initial.length_s + edited.length_s - inter)
-    if gate_iou >= cfg.iou_gate:
+    if iou(initial, edited) >= cfg.iou_gate:
         return edited, True, tuple(topk), pair
     return initial, False, tuple(topk), pair
 
@@ -171,26 +163,14 @@ def edit_all(
     store: FeatureStore,
     clips: ClipAssignment,
     cfg: EditConfig,
-    workers: int | None = None,
 ) -> tuple[ClipAssignment, list[EditResult]]:
-    """Edit every assigned clip; results ordered by caption_id.
-
-    `workers` > 1 fans the (pure, independent) per-caption edits across a
-    thread pool without changing results.
-    """
-    caption_ids = sorted(clips)
-
-    def one(cid: str) -> EditResult:
+    """Edit every assigned clip; results ordered by caption_id."""
+    results = []
+    for cid in sorted(clips):
         try:
-            return edit_clip(teacher, store, cid, clips[cid], cfg)
+            results.append(edit_clip(teacher, store, cid, clips[cid], cfg))
         except Exception as exc:
             raise RuntimeError(f"editing caption {cid!r} failed: {exc}") from exc
-
-    if workers is not None and workers > 1 and len(caption_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, caption_ids))
-    else:
-        results = [one(cid) for cid in caption_ids]
     new_clips: ClipAssignment = {
         r.caption_id: ClipRef(clips[r.caption_id].video_id, r.edited) for r in results
     }

@@ -89,12 +89,6 @@ class EncoderParams:
             W_c=self.W_c.copy(), b_c=self.b_c.copy(), tau=self.tau,
         )
 
-    def astype(self, dtype) -> "EncoderParams":
-        return EncoderParams(
-            W_v=self.W_v.astype(dtype), b_v=self.b_v.astype(dtype),
-            W_c=self.W_c.astype(dtype), b_c=self.b_c.astype(dtype), tau=self.tau,
-        )
-
     def equals(self, other: "EncoderParams") -> bool:
         return (
             self.tau == other.tau
@@ -305,6 +299,8 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     raw = path.read_bytes()
     if raw[:4] != CKPT_MAGIC:
         raise ValueError(f"{path}: bad magic bytes {raw[:4]!r}, expected {CKPT_MAGIC!r}")
+    if len(raw) < 20:
+        raise ValueError(f"{path}: truncated header")
     d_in, d_out, tau = struct.unpack("<IId", raw[4:20])
     sizes = [d_out * d_in, d_out, d_out * d_in, d_out]
     expect = 20 + 4 * sum(sizes)

@@ -84,6 +84,16 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="c1"):
             load_annotations(path, store)
 
+    def test_caption_without_features_rejected_with_store(self, tmp_path):
+        store = make_store({"v1": np.zeros((10, 3))}, {"c1": np.ones(3)})
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            '{"caption_id":"c1","video_id":"v1","timestamp":1.0,"split":"train"}\n'
+            '{"caption_id":"c2","video_id":"v1","timestamp":2.0,"split":"train"}\n'
+        )
+        with pytest.raises(ValueError, match=r"ann\.jsonl:2: no caption features for 'c2'"):
+            load_annotations(path, store)
+
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="split"):
             self.make(split="validation")

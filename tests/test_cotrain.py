@@ -255,17 +255,6 @@ class TestCoTrainLoop:
             assert set(rec) == {"epoch", "train_loss", "monitor",
                                 "n_applied_edits", "teacher_updated"}
 
-    def test_workers_do_not_change_outcome(self):
-        store, anns = small_corpus(noise=0.3, n_train=6)
-        tc = fast_train(epochs=2)
-        warm, assignment = warmup(store, anns, MID, tc)
-        cc = CoTrainConfig(gamma=-1.0, patience=2, max_epochs=3,
-                           train=tc, edit=EditConfig(k=8))
-        r1 = cotrain(warm, assignment, store, cc, workers=1)
-        r2 = cotrain(warm, assignment, store, cc, workers=4)
-        assert r1.log == r2.log
-        assert r1.final_student.equals(r2.final_student)
-
     def test_on_epoch_sees_every_record(self):
         seen = []
         store, anns = small_corpus()

@@ -134,11 +134,17 @@ class TestConsensus:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_oracle(self, seed):
+        # fractional origins and non-unit segments make the float rounding
+        # of candidate bounds differ from the whole-second case
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 30))
         k = int(rng.integers(2, 10))
-        top = topk_ref(rng.standard_normal(n), k)
-        cands = [iv for _, iv in enumerate_candidates(top, unit_grid(n))]
+        seg_len = float(rng.choice([0.5, 0.7, 1.0, 1.3]))
+        origin = float(rng.integers(0, 5000)) / 100.0
+        end = origin + n * seg_len + float(rng.uniform(0.0, seg_len))
+        grid = segment_grid(Interval(origin, end), seg_len)
+        top = topk_ref(rng.standard_normal(grid.n_segments), k)
+        cands = [iv for _, iv in enumerate_candidates(top, grid)]
         got = consensus_argmax(cands)
         want = consensus_ref([(c.start_s, c.end_s) for c in cands])
         assert got == want
@@ -319,13 +325,6 @@ class TestEditAll:
         out1 = edit_all(p, store, clips, EditConfig(k=5))
         out2 = edit_all(p, store, clips, EditConfig(k=5))
         assert out1 == out2
-
-    def test_workers_do_not_change_results(self):
-        store, clips = self.build(n_videos=5)
-        p = EncoderParams.init_random(6, rng=np.random.default_rng(2))
-        seq = edit_all(p, store, clips, EditConfig(k=5), workers=1)
-        par = edit_all(p, store, clips, EditConfig(k=5), workers=4)
-        assert seq == par
 
     def test_results_ordered_by_caption_id(self):
         store, clips = self.build()

@@ -290,9 +290,11 @@ class TestCheckpoints:
         p = random_params(np.random.default_rng(3), 4, dtype=np.float32)
         path = tmp_path / "m.cfp"
         save_checkpoint(path, p)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ValueError, match="expected"):
-            load_checkpoint(path)
+        full = path.read_bytes()
+        for cut, message in ((full[:-4], "expected"), (full[:10], "truncated header")):
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(path)
 
 
 class TestAdam:
