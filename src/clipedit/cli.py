@@ -126,20 +126,20 @@ def cmd_synth(run: RunConfig, args) -> int:
     return 0
 
 
-def _prepare(run: RunConfig):
-    """Corpus + (possibly jittered) initial train assignment."""
-    store, annotations = _load_corpus(run)
+def _train_assignment(run: RunConfig, store: FeatureStore, annotations: list[CaptionAnnotation]):
+    """The (possibly jittered) initial train assignment."""
     assignment = build_initial_assignment(store, annotations, run.init_strategy)
     if run.jitter_fraction > 0 and run.max_jitter_s > 0:
         rng = np.random.default_rng(run.seed)
         assignment = apply_jitter(
             assignment, run.jitter_fraction, run.max_jitter_s, store, rng
         )
-    return store, annotations, assignment
+    return assignment
 
 
 def cmd_warmup(run: RunConfig, args) -> int:
-    store, annotations, assignment = _prepare(run)
+    store, annotations = _load_corpus(run)
+    assignment = _train_assignment(run, store, annotations)
     params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,8 +152,14 @@ def cmd_warmup(run: RunConfig, args) -> int:
     return 0
 
 
-def run_cotrain_pipeline(run: RunConfig, check: bool) -> RetrievalMetrics:
-    store, annotations, assignment = _prepare(run)
+def run_cotrain_pipeline(
+    run: RunConfig,
+    check: bool,
+    corpus: tuple[FeatureStore, list[CaptionAnnotation]] | None = None,
+) -> RetrievalMetrics:
+    """`clipedit cotrain`; `corpus` passes an already loaded (store, annotations)."""
+    store, annotations = corpus if corpus is not None else _load_corpus(run)
+    assignment = _train_assignment(run, store, annotations)
     warm_params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -225,6 +231,8 @@ def cmd_ablate(run: RunConfig, args) -> int:
         raise ConfigError("ablate needs at least one value")
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # no ablation axis changes the corpus: load it (and pool its clips) once
+    corpus = _load_corpus(run)
     rows = []
     for value in values:
         sets = list(args.set or []) + [f"{path}={json.dumps(value)}"]
@@ -232,7 +240,7 @@ def cmd_ablate(run: RunConfig, args) -> int:
         sub_run = build_run_config(sub_cfg)
         sub_name = f"{args.axis}_{str(value).replace(':', '-').replace('/', '-')}"
         sub_run = replace(sub_run, out_dir=str(out / sub_name))
-        metrics = run_cotrain_pipeline(sub_run, args.check)
+        metrics = run_cotrain_pipeline(sub_run, args.check, corpus)
         rows.append([value, metrics.r_at[1], metrics.r_at[5], metrics.r_at[10], metrics.med_r])
         print(f"{args.axis}={value}: R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     with (out / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:

@@ -75,6 +75,11 @@ class VideoRecord:
     video_id: str
     duration_s: float
     features: np.ndarray  # (ceil(duration_s), d) float32
+    # clip_mean's table, keyed (start_s, end_s, seg_len_s); a replaced
+    # record drops it with it
+    pooled: dict[tuple[float, float, float], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
@@ -170,13 +175,15 @@ def write_annotations(path: str | Path, annotations: list[CaptionAnnotation]) ->
 def load_annotations(path: str | Path, store: FeatureStore | None = None) -> list[CaptionAnnotation]:
     """Parse and validate an annotation file, sorted by (video_id, timestamp).
 
-    When `store` is given, every video_id must resolve, every timestamp
-    must lie within its video's span, and every caption must have
-    caption features.
+    Two captions of one video and split may not share a timestamp: the
+    initial clips need strictly ordered neighbours, so the second one is
+    rejected. When `store` is given, every video_id must resolve, every
+    timestamp must lie within its video's span, and every caption must
+    have caption features.
     """
     path = Path(path)
     out: list[CaptionAnnotation] = []
-    seen: set[str] = set()
+    line_of: dict[str, int] = {}  # caption_id -> line
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -207,7 +214,7 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if ann.caption_id in seen:
+            if ann.caption_id in line_of:
                 raise ValueError(f"{path}:{lineno}: duplicate caption_id {ann.caption_id!r}")
             if store is not None:
                 rec = store.videos.get(ann.video_id)
@@ -220,9 +227,24 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                     )
                 if ann.caption_id not in store.caption_features:
                     raise ValueError(f"{path}:{lineno}: no caption features for {ann.caption_id!r}")
-            seen.add(ann.caption_id)
+            line_of[ann.caption_id] = lineno
             out.append(ann)
     out.sort(key=lambda a: (a.video_id, a.timestamp_s))
+    # the sort is stable, so captions sharing a video and timestamp form one
+    # run in file order
+    run_start = 0
+    for i in range(1, len(out)):
+        a, b = out[i - 1], out[i]
+        if b.timestamp_s != a.timestamp_s or b.video_id != a.video_id:
+            run_start = i
+            continue
+        for first in out[run_start:i]:
+            if first.split == b.split:
+                raise ValueError(
+                    f"{path}:{line_of[b.caption_id]}: caption {b.caption_id!r} has the same "
+                    f"video, split and timestamp {b.timestamp_s} as the caption at "
+                    f"{path}:{line_of[first.caption_id]}"
+                )
     return out
 
 
@@ -424,6 +446,12 @@ def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation
 # segment pooling
 
 
+def _row_qualifies(r: int, start: float, end: float, duration: float) -> bool:
+    """Whether >= ROW_OVERLAP_MIN of row r's span overlaps [start, end)."""
+    row_end = min(r + 1.0, duration)
+    return min(row_end, end) - max(float(r), start) >= ROW_OVERLAP_MIN * (row_end - r)
+
+
 def segment_features(store: FeatureStore, video_id: str, grid) -> np.ndarray:
     """Pool per-second feature rows into one row per grid segment.
 
@@ -441,26 +469,50 @@ def segment_features(store: FeatureStore, video_id: str, grid) -> np.ndarray:
             f"grid [{grid.origin_s}, {grid.clip_end_s}] outside video "
             f"{video_id} span [0, {duration}]"
         )
-    out = np.empty((grid.n_segments, rec.features.shape[1]), dtype=rec.features.dtype)
+    feats = rec.features
+    out = np.empty((grid.n_segments, feats.shape[1]), dtype=feats.dtype)
+    last = grid.n_segments - 1
     for i in range(grid.n_segments):
-        seg = grid.segment(i)
-        r_lo = max(0, math.floor(seg.start_s))
-        r_hi = min(n_rows, math.ceil(seg.end_s))
-        rows = []
-        for r in range(r_lo, r_hi):
-            row_end = min(r + 1.0, duration)
-            ov = min(row_end, seg.end_s) - max(float(r), seg.start_s)
-            if ov >= ROW_OVERLAP_MIN * (row_end - r):
-                rows.append(r)
-        if rows:
-            out[i] = rec.features[rows].mean(axis=0)
+        # the same expressions as grid.segment(i)
+        start = grid.origin_s + i * grid.seg_len_s
+        end = grid.clip_end_s if i == last else grid.origin_s + (i + 1) * grid.seg_len_s
+        lo = max(0, math.floor(start))
+        hi = min(n_rows, math.ceil(end))
+        # rows strictly inside [start, end) always qualify, so only the two
+        # edge rows need the overlap test and the qualifying rows are [lo, hi)
+        if lo < hi and not _row_qualifies(lo, start, end, duration):
+            lo += 1
+        if lo < hi and not _row_qualifies(hi - 1, start, end, duration):
+            hi -= 1
+        if hi - lo == 1:
+            out[i] = feats[lo]
+        elif lo < hi:
+            out[i] = feats[lo:hi].mean(axis=0)
         else:
-            center = (seg.start_s + seg.end_s) / 2.0
+            center = (start + end) / 2.0
             nearest = min(range(n_rows), key=lambda r: abs((r + 0.5) - center))
-            out[i] = rec.features[nearest]
+            out[i] = feats[nearest]
     return out
 
 
 def clip_features(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
     """Segment-feature matrix for a clip on its default grid."""
     return segment_features(store, ref.video_id, segment_grid(ref.interval, seg_len_s))
+
+
+def clip_mean(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
+    """Mean of `clip_features` rows: the pooled vector `embed_clip` projects.
+
+    It does not depend on any weights, so it is computed once per distinct
+    clip and kept on the video's record; the returned array is read-only.
+    """
+    rec = store.videos.get(ref.video_id)
+    if rec is None:
+        raise ValueError(f"unknown video_id {ref.video_id!r}")
+    key = (ref.interval.start_s, ref.interval.end_s, seg_len_s)
+    pooled = rec.pooled.get(key)
+    if pooled is None:
+        pooled = clip_features(store, ref, seg_len_s).mean(axis=0)
+        pooled.flags.writeable = False
+        rec.pooled[key] = pooled
+    return pooled

@@ -4,7 +4,9 @@ Each epoch the teacher re-edits every training clip from its original
 initial boundary, the student trains one epoch on the edited clips, and
 the student is scored by caption-to-clip R@1 on a frozen control set of
 high-confidence pairs. A strict improvement copies the student into the
-teacher; M consecutive non-improving epochs stop the loop.
+teacher; M consecutive non-improving epochs stop the loop. An epoch whose
+editor weights equal those of the last edit keeps that edit, which
+re-editing would repeat exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore, clip_features
+from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore, clip_mean
 from .editor import EditConfig, EditResult, edit_all
 from .encoder import (
     EncoderParams,
@@ -158,7 +160,7 @@ def diagonal_similarity(
     params: EncoderParams, store: FeatureStore, ref: ClipRef, caption_id: str
 ) -> float:
     return similarity(
-        embed_clip(params, clip_features(store, ref)),
+        embed_clip(params, clip_mean(store, ref)[None]),
         embed_caption(params, store.caption_features[caption_id]),
     )
 
@@ -217,11 +219,15 @@ def cotrain(
     log: list[dict] = []
     clips = dict(assignment)
     last_edits: list[EditResult] = []
+    edited_by: EncoderParams | None = None  # the params behind clips/last_edits
 
     for epoch in range(1, cfg.max_epochs + 1):
         editor_params = student if cfg.teacher_mode == "self" else teacher
-        clips, edits = edit_all(editor_params, store, assignment, cfg.edit)
-        last_edits = edits
+        # every epoch edits the same assignment with the same config, so
+        # unchanged editor weights would reproduce the last edits exactly
+        if edited_by is None or not editor_params.equals(edited_by):
+            clips, last_edits = edit_all(editor_params, store, assignment, cfg.edit)
+            edited_by = editor_params.copy()
         _, train_loss = train_epoch(student, store, clips, cfg.train, rng, optimizer)
         monitor = monitor_metric(student, store, control)
         improved = monitor > best_monitor
@@ -240,7 +246,7 @@ def cotrain(
             "epoch": epoch,
             "train_loss": train_loss,
             "monitor": monitor,
-            "n_applied_edits": sum(1 for e in edits if e.applied),
+            "n_applied_edits": sum(1 for e in last_edits if e.applied),
             "teacher_updated": teacher_updated,
         }
         log.append(record)

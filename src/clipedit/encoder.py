@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, clip_features
+from .corpus import ClipAssignment, FeatureStore, clip_mean
 
 CKPT_MAGIC = b"CFP1"
 
@@ -278,7 +278,7 @@ def train_epoch(
         if idx.size < 2:
             continue
         batch_ids = [caption_ids[i] for i in idx]
-        clip_feats = [clip_features(store, clips[cid]) for cid in batch_ids]
+        clip_feats = [clip_mean(store, clips[cid])[None] for cid in batch_ids]
         cap_feats = np.stack([store.caption_features[cid] for cid in batch_ids])
         loss, grads = info_nce(params, clip_feats, cap_feats, with_grads=True)
         optimizer.step(params, grads)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, clip_features
+from .corpus import ClipAssignment, FeatureStore, clip_mean
 from .encoder import EncoderParams, embed_caption, embed_clip
 from .timeline import Interval, iou
 
@@ -81,7 +81,7 @@ def evaluate_retrieval(
         if q not in gal_pos:
             raise ValueError(f"query {q!r} has no gallery clip")
     clip_embs = np.stack([
-        embed_clip(params, clip_features(store, gallery[cid], seg_len_s))
+        embed_clip(params, clip_mean(store, gallery[cid], seg_len_s)[None])
         for cid in gallery_ids
     ])
     ranks = []

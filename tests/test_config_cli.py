@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from clipedit.cli import ABLATE_AXES, _parse_values, main
+from clipedit.cli import ABLATE_AXES, _load_corpus, _parse_values, main
 from clipedit.config import (
     DEFAULTS,
     ConfigError,
@@ -223,6 +223,23 @@ class TestCliExitCodes:
             err = capsys.readouterr().err
             assert "annotations.jsonl:" in err and dropped in err
 
+    def test_duplicate_timestamp_exits_2(self, tmp_path, capsys):
+        cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
+        assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0
+        ann_path = Path(corpus) / "annotations.jsonl"
+        lines = ann_path.read_text().splitlines()
+        first, second = json.loads(lines[0]), json.loads(lines[1])
+        assert (first["video_id"], first["split"]) == (second["video_id"], second["split"])
+        second["timestamp"] = first["timestamp"]
+        lines[1] = json.dumps(second)
+        ann_path.write_text("\n".join(lines) + "\n")
+        cfg = synth_dict(synth=None, features_dir=corpus, annotations_file=str(ann_path))
+        cfg2_path = write_cfg(tmp_path, cfg, "cfg2.json")
+        capsys.readouterr()
+        assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "annotations.jsonl:2:" in err and "annotations.jsonl:1" in err
+
 
 class TestCliSynth:
     def test_writes_corpus_and_is_deterministic(self, tmp_path):
@@ -318,6 +335,19 @@ class TestCliAblate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["value", "r1", "r5", "r10", "medr"]
         assert [r[0] for r in rows[1:]] == ["4", "6"]
+
+    def test_corpus_loaded_once_per_sweep(self, tmp_path, monkeypatch):
+        loads = []
+
+        def counting_load(run):
+            loads.append(run)
+            return _load_corpus(run)
+
+        monkeypatch.setattr("clipedit.cli._load_corpus", counting_load)
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["ablate", "--config", cfg_path, "--out", out,
+                     "--axis", "teacher_mode", "--values", "update,frozen,self"]) == 0
+        assert len(loads) == 1
 
     def test_init_strategy_value_with_colon_gets_safe_dirname(self, tmp_path):
         cfg_path, out = tiny_cli_args(tmp_path)

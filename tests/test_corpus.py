@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from clipedit.corpus import (
+    ROW_OVERLAP_MIN,
     CaptionAnnotation,
+    ClipRef,
     FeatureStore,
     SynthConfig,
     VideoRecord,
     load_annotations,
+    clip_features,
+    clip_mean,
     load_features,
     read_feat_matrix,
     sample_timestamp,
@@ -69,6 +74,19 @@ class TestAnnotations:
         line = '{"caption_id":"c1","video_id":"v1","timestamp":1.0,"split":"train"}\n'
         path.write_text(line + line)
         with pytest.raises(ValueError, match="duplicate"):
+            load_annotations(path)
+
+    def test_duplicate_timestamp_rejected_naming_both_lines(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(
+            '{"caption_id":"c1","video_id":"v1","timestamp":7.25,"split":"train"}\n'
+            '{"caption_id":"c2","video_id":"v1","timestamp":7.25,"split":"test"}\n'
+            '{"caption_id":"c3","video_id":"v2","timestamp":7.25,"split":"train"}\n'
+            '{"caption_id":"c4","video_id":"v1","timestamp":7.25,"split":"train"}\n'
+        )
+        # another split or another video may share the timestamp; the
+        # second caption of one video and split may not
+        with pytest.raises(ValueError, match=r"ann\.jsonl:4: caption 'c4'.*ann\.jsonl:1$"):
             load_annotations(path)
 
     def test_half_gt_rejected(self, tmp_path):
@@ -330,3 +348,87 @@ class TestSegmentFeatures:
         grid = segment_grid(Interval(0.0, store.videos[a.video_id].duration_s), 1.0)
         out = segment_features(store, a.video_id, grid)
         assert np.all(np.isfinite(out))
+
+
+def segment_features_ref(store, video_id, grid):
+    """The per-row loop `segment_features` replaced, kept as its reference."""
+    rec = store.videos[video_id]
+    duration = rec.duration_s
+    n_rows = rec.features.shape[0]
+    out = np.empty((grid.n_segments, rec.features.shape[1]), dtype=rec.features.dtype)
+    for i in range(grid.n_segments):
+        seg = grid.segment(i)
+        r_lo = max(0, math.floor(seg.start_s))
+        r_hi = min(n_rows, math.ceil(seg.end_s))
+        rows = []
+        for r in range(r_lo, r_hi):
+            row_end = min(r + 1.0, duration)
+            ov = min(row_end, seg.end_s) - max(float(r), seg.start_s)
+            if ov >= ROW_OVERLAP_MIN * (row_end - r):
+                rows.append(r)
+        if rows:
+            out[i] = rec.features[rows].mean(axis=0)
+        else:
+            center = (seg.start_s + seg.end_s) / 2.0
+            nearest = min(range(n_rows), key=lambda r: abs((r + 0.5) - center))
+            out[i] = rec.features[nearest]
+    return out
+
+
+@st.composite
+def pooling_cases(draw):
+    """(feature seed, rows, last row length, clip start, clip end, seg_len_s):
+    fractional or half-row clip edges inside a video whose last row may be short."""
+    n_rows = draw(st.integers(1, 14))
+    last_len = draw(st.sampled_from([1.0, 0.25, 0.5, 0.6, 0.9]))
+    duration = n_rows - 1 + last_len
+    step = draw(st.sampled_from([0.5, 0.01])) if duration >= 0.5 else 0.01  # half rows or hundredths
+    n_steps = int(duration / step)
+    a = draw(st.integers(0, n_steps - 1))
+    b = draw(st.integers(a + 1, n_steps))
+    seg_len = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 2.5]))
+    return draw(st.integers(0, 2**32 - 1)), n_rows, last_len, a * step, b * step, seg_len
+
+
+@settings(max_examples=400, deadline=None)
+@given(pooling_cases())
+@example((0, 8, 1.0, 7.0, 7.4, 1.0))    # one segment under half a row: nearest row
+@example((1, 8, 1.0, 2.3, 2.6, 0.3))    # inside one row: nearest row
+@example((2, 8, 0.5, 1.5, 7.5, 2.0))    # half-row edges, short last row
+@example((3, 12, 0.25, 0.37, 11.25, 1.3))
+def test_segment_features_matches_row_loop(case):
+    seed, n_rows, last_len, start, end, seg_len = case
+    rows = np.random.default_rng(seed).standard_normal((n_rows, 5)).astype(np.float32)
+    store = FeatureStore()
+    store.videos["v"] = VideoRecord("v", n_rows - 1 + last_len, rows)
+    grid = segment_grid(Interval(start, end), seg_len)
+    assert np.array_equal(
+        segment_features(store, "v", grid), segment_features_ref(store, "v", grid)
+    )
+
+
+class TestClipMean:
+    def test_equals_mean_of_clip_features_and_is_kept(self, tiny_store):
+        ref = ClipRef("v1", Interval(1.5, 5.0))
+        got = clip_mean(tiny_store, ref)
+        assert np.array_equal(got, clip_features(tiny_store, ref).mean(axis=0))
+        assert clip_mean(tiny_store, ref) is got
+        assert not got.flags.writeable
+
+    def test_seg_len_is_part_of_the_key(self, tiny_store):
+        ref = ClipRef("v1", Interval(0.0, 5.0))
+        assert np.allclose(clip_mean(tiny_store, ref, 1.0), 2.0)
+        assert np.allclose(clip_mean(tiny_store, ref, 2.0), (0.5 + 3.0) / 2.0)
+
+    def test_replaced_record_is_pooled_again(self, tiny_store):
+        ref = ClipRef("v1", Interval(2.0, 6.0))
+        stale = clip_mean(tiny_store, ref).copy()
+        rows = tiny_store.videos["v1"].features + 10.0
+        tiny_store.videos["v1"] = VideoRecord("v1", 8.0, rows)
+        fresh = clip_mean(tiny_store, ref)
+        assert np.array_equal(fresh, rows[2:6].mean(axis=0))
+        assert not np.array_equal(fresh, stale)
+
+    def test_unknown_video(self, tiny_store):
+        with pytest.raises(ValueError, match="unknown video_id"):
+            clip_mean(tiny_store, ClipRef("vX", Interval(0.0, 2.0)))

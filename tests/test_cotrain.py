@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from clipedit.cotrain import (
     warmup,
     write_cotrain_log,
 )
-from clipedit.editor import EditConfig
-from clipedit.encoder import EncoderParams, TrainConfig
+from clipedit.editor import EditConfig, edit_all
+from clipedit.encoder import EncoderParams, TrainConfig, make_optimizer, train_epoch
 from clipedit.evalrep import evaluate_retrieval
 from clipedit.timeline import InitStrategy, Interval, iou
 
@@ -264,6 +266,85 @@ class TestCoTrainLoop:
                            train=tc, edit=EditConfig(k=8))
         res = cotrain(warm, assignment, store, cc, on_epoch=seen.append)
         assert seen == res.log
+
+
+def cotrain_ref(warm, assignment, store, cfg):
+    """The co-training loop with `edit_all` called every epoch, as reference."""
+    control = select_control_set(warm, store, assignment, cfg.gamma)
+    student = warm.copy()
+    if cfg.teacher_mode == "random":
+        teacher = EncoderParams.init_random(
+            warm.d_in, warm.d_out, tau=warm.tau,
+            rng=np.random.default_rng(cfg.train.seed + 1), dtype=warm.W_v.dtype,
+        )
+    else:
+        teacher = warm.copy()
+    best_monitor = monitor_metric(warm, store, control)
+    best_student, best_epoch, since = warm.copy(), 0, 0
+    rng = np.random.default_rng(cfg.train.seed)
+    optimizer = make_optimizer(cfg.train)
+    log, clips, edits = [], dict(assignment), []
+    for epoch in range(1, cfg.max_epochs + 1):
+        editor = student if cfg.teacher_mode == "self" else teacher
+        clips, edits = edit_all(editor, store, assignment, cfg.edit)
+        _, loss = train_epoch(student, store, clips, cfg.train, rng, optimizer)
+        monitor = monitor_metric(student, store, control)
+        updated = False
+        if monitor > best_monitor:
+            best_monitor, best_student, best_epoch, since = monitor, student.copy(), epoch, 0
+            if cfg.teacher_mode == "update":
+                teacher, updated = student.copy(), True
+        else:
+            since += 1
+        log.append({"epoch": epoch, "train_loss": loss, "monitor": monitor,
+                    "n_applied_edits": sum(e.applied for e in edits),
+                    "teacher_updated": updated})
+        if since >= cfg.patience:
+            break
+    return best_student, student, teacher, clips, log, best_epoch, best_monitor, edits
+
+
+class TestReEditSkip:
+    @pytest.mark.parametrize("mode", ["update", "frozen", "random", "self"])
+    def test_equals_editing_every_epoch(self, mode, monkeypatch):
+        store, anns = small_corpus(noise=0.4, cap_noise=0.1, seed=5, n_train=10, n_test=2)
+        tc = fast_train(epochs=3)
+        warm, assignment = warmup(store, anns, MID, tc)
+        cc = CoTrainConfig(gamma=-1.0, patience=8, max_epochs=8,
+                           teacher_mode=mode, train=tc, edit=EditConfig(k=8))
+        calls = []
+
+        def counting_edit_all(*args):
+            calls.append(args[0].copy())
+            return edit_all(*args)
+
+        module = importlib.import_module("clipedit.cotrain")
+        monkeypatch.setattr(module, "edit_all", counting_edit_all)
+        res = cotrain(warm, assignment, store, cc)
+        best, final, teacher, clips, log, best_epoch, best_monitor, edits = cotrain_ref(
+            warm, assignment, store, cc
+        )
+        assert res.log == log
+        assert res.last_edits == edits
+        assert res.clips == clips
+        assert res.best_student.equals(best)
+        assert res.final_student.equals(final)
+        assert res.teacher.equals(teacher)
+        assert (res.best_epoch, res.best_monitor) == (best_epoch, best_monitor)
+        best_so_far, improved = monitor_metric(warm, store, res.control), []
+        for r in log:
+            improved.append(r["monitor"] > best_so_far)
+            best_so_far = max(best_so_far, r["monitor"])
+        # some epochs improve, and some that another epoch follows do not
+        assert any(improved) and not all(improved[:-1])
+        expected = {
+            "update": 1 + sum(r["teacher_updated"] for r in log[:-1]),
+            "frozen": 1,
+            "random": 1,
+            "self": len(log),
+        }[mode]
+        assert len(calls) == expected
+        assert all(not a.equals(b) for a, b in zip(calls, calls[1:]))
 
 
 class TestApplyJitter:
