@@ -324,6 +324,8 @@ def load_features(dir_path: str | Path) -> FeatureStore:
         idx_path = dir_path / "captions.idx"
         if not idx_path.exists():
             raise ValueError(f"{cap_path} present but {idx_path} missing")
+        non_finite = ~np.isfinite(cap_matrix).all(axis=1)
+        zero = ~cap_matrix.any(axis=1)
         with idx_path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -335,6 +337,9 @@ def load_features(dir_path: str | Path) -> FeatureStore:
                     raise ValueError(f"{idx_path}:{lineno}: malformed index line: {exc}") from exc
                 if not 0 <= row < cap_matrix.shape[0]:
                     raise ValueError(f"{idx_path}:{lineno}: row {row} out of range")
+                if non_finite[row] or zero[row]:
+                    what = "non-finite" if non_finite[row] else "zero-norm"
+                    raise ValueError(f"{idx_path}:{lineno}: caption {cid!r} has {what} features")
                 store.caption_features[cid] = cap_matrix[row]
     return store
 

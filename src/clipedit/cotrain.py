@@ -23,8 +23,8 @@ from .editor import EditConfig, EditResult, edit_all
 from .encoder import (
     EncoderParams,
     TrainConfig,
-    embed_caption,
-    embed_clip,
+    embed_captions,
+    embed_clips,
     make_optimizer,
     similarity,
     train_epoch,
@@ -156,24 +156,17 @@ def warmup(
     return params, assignment
 
 
-def diagonal_similarity(
-    params: EncoderParams, store: FeatureStore, ref: ClipRef, caption_id: str
-) -> float:
-    return similarity(
-        embed_clip(params, clip_mean(store, ref)[None]),
-        embed_caption(params, store.caption_features[caption_id]),
-    )
-
-
 def select_control_set(
     params: EncoderParams, store: FeatureStore, clips: ClipAssignment, gamma: float
 ) -> ControlSet:
     """Captions whose clip-caption similarity strictly exceeds gamma, with
     their current boundaries frozen."""
-    chosen = [
-        cid for cid in sorted(clips)
-        if diagonal_similarity(params, store, clips[cid], cid) > gamma
-    ]
+    ids = sorted(clips)
+    U = embed_clips(params, [clip_mean(store, clips[cid]) for cid in ids], ids)
+    V = embed_captions(params, [store.caption_features[cid] for cid in ids], ids)
+    # the rows equal the one-item embeddings bit for bit; a dot of fresh
+    # copies is the exact score a one-item `similarity` call gives
+    chosen = [cid for cid, u, v in zip(ids, U, V) if similarity(u.copy(), v.copy()) > gamma]
     return ControlSet(
         caption_ids=tuple(chosen),
         frozen_clips={cid: clips[cid] for cid in chosen},

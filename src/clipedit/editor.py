@@ -141,15 +141,18 @@ def edit_clip(
     cap_feat = store.caption_features.get(caption_id)
     if cap_feat is None:
         raise ValueError(f"no caption features for {caption_id!r}")
-    grid = segment_grid(ref.interval, cfg.seg_len_s)
-    if grid.n_segments < 2:
-        return EditResult(
-            caption_id=caption_id, initial=ref.interval, edited=ref.interval,
-            applied=False, n_segments=grid.n_segments, topk_indices=(0,),
-            winner_pair=None,
-        )
-    seg_feats = segment_features(store, ref.video_id, grid)
-    sims = segment_similarities(teacher, seg_feats, cap_feat)
+    try:
+        grid = segment_grid(ref.interval, cfg.seg_len_s)
+        if grid.n_segments < 2:
+            return EditResult(
+                caption_id=caption_id, initial=ref.interval, edited=ref.interval,
+                applied=False, n_segments=grid.n_segments, topk_indices=(0,),
+                winner_pair=None,
+            )
+        seg_feats = segment_features(store, ref.video_id, grid)
+        sims = segment_similarities(teacher, seg_feats, cap_feat)
+    except ValueError as exc:
+        raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
     edited, applied, topk, pair = edit_from_sims(sims, grid, ref.interval, cfg)
     return EditResult(
         caption_id=caption_id, initial=ref.interval, edited=edited,
@@ -165,12 +168,7 @@ def edit_all(
     cfg: EditConfig,
 ) -> tuple[ClipAssignment, list[EditResult]]:
     """Edit every assigned clip; results ordered by caption_id."""
-    results = []
-    for cid in sorted(clips):
-        try:
-            results.append(edit_clip(teacher, store, cid, clips[cid], cfg))
-        except Exception as exc:
-            raise RuntimeError(f"editing caption {cid!r} failed: {exc}") from exc
+    results = [edit_clip(teacher, store, cid, clips[cid], cfg) for cid in sorted(clips)]
     new_clips: ClipAssignment = {
         r.caption_id: ClipRef(clips[r.caption_id].video_id, r.edited) for r in results
     }

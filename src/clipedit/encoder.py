@@ -16,6 +16,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -121,10 +122,12 @@ class TrainConfig:
             raise ValueError(f"optimizer must be sgd|adam, got {self.optimizer!r}")
 
 
-def _normalize(z: np.ndarray, what: str) -> np.ndarray:
+def _normalize(z: np.ndarray, what: str, ids: Sequence[str] | None = None) -> np.ndarray:
     norm = np.linalg.norm(z, axis=-1, keepdims=True)
-    if np.any(norm < _EPS):
-        raise ValueError(f"degenerate embedding: zero-norm {what}")
+    bad = np.flatnonzero(norm < _EPS)
+    if bad.size:
+        name = f" {ids[bad[0]]!r}" if ids is not None else ""
+        raise ValueError(f"degenerate embedding: zero-norm {what}{name}")
     return z / norm
 
 
@@ -140,6 +143,39 @@ def embed_clip(params: EncoderParams, seg_feats: np.ndarray) -> np.ndarray:
 def embed_caption(params: EncoderParams, cap_feat: np.ndarray) -> np.ndarray:
     """normalize(W_c @ caption + b_c)."""
     return _normalize(np.asarray(cap_feat) @ params.W_c.T + params.b_c, "caption")
+
+
+def _embed_rows(
+    rows: Sequence[np.ndarray] | np.ndarray, W: np.ndarray, b: np.ndarray,
+    what: str, ids: Sequence[str] | None,
+) -> np.ndarray:
+    # Each row goes through the same `row @ W.T` call as the one-item
+    # functions; one (N, d_in) @ W.T product would round differently.
+    # The bias add and the row-wise normalization are elementwise, so the
+    # stacked result equals stacking the one-item embeddings bit for bit.
+    projected = [np.asarray(row) @ W.T for row in rows]
+    if not projected:
+        return np.empty((0, W.shape[0]), dtype=np.result_type(W, b))
+    return _normalize(np.stack(projected) + b, what, ids)
+
+
+def embed_clips(
+    params: EncoderParams, pooled: Sequence[np.ndarray] | np.ndarray,
+    ids: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Rows of `embed_clip(params, p[None])` for each pooled clip vector p.
+
+    `ids`, one per row, name a degenerate row in the error.
+    """
+    return _embed_rows(pooled, params.W_v, params.b_v, "clip", ids)
+
+
+def embed_captions(
+    params: EncoderParams, caps: Sequence[np.ndarray] | np.ndarray,
+    ids: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Rows of `embed_caption(params, c)` for each caption vector c."""
+    return _embed_rows(caps, params.W_c, params.b_c, "caption", ids)
 
 
 def similarity(u: np.ndarray, v: np.ndarray) -> float:

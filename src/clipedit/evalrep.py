@@ -11,10 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ClipAssignment, FeatureStore, clip_mean
-from .encoder import EncoderParams, embed_caption, embed_clip
+from .encoder import EncoderParams, embed_captions, embed_clips
 from .timeline import Interval, iou
 
 R_AT_KS = (1, 5, 10)
+
+# Bytes of one block of query-by-gallery scores: 64 float32 queries against
+# a 10,000-clip gallery. It bounds the memory ranking adds to an eval.
+_SCORE_BLOCK_BYTES = 64 * 10_000 * 4
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,57 @@ def rank_of(sim_row: np.ndarray, true_index: int) -> int:
     return better + tied_before + 1
 
 
+def _margin(e: int, *dtypes: np.dtype) -> float:
+    """Half-width M of the band around a query's true-clip score outside
+    which a blocked score orders a clip as the one-item gemv `U @ v` does.
+
+    U and V rows are bit-equal to `embed_clip`/`embed_caption`: rounded
+    x / ||x||, so with unit roundoff u and length e their norms are at most
+    1 + (e + 3)u <= 1.01 while e*u <= 1e-3. Any float evaluation of a
+    length-e dot product, in any order and with or without FMA, lies within
+    gamma_e * sum|x_i y_i| <= gamma_e ||x|| ||y|| of the real value, with
+    gamma_e = e*u / (1 - e*u). The block product `V @ U.T` and the gemv
+    `U @ v` are two such evaluations, so they differ by at most 2*delta per
+    pair, delta = 1.01**2 * gamma_e. A clip scoring above s_t + 4*delta in
+    the block is strictly ahead of the true clip under gemv too, and one
+    below s_t - 4*delta strictly behind. The extra 4u covers rounding
+    s_t +- M (|s_t| < 1.03) and underflow in the products. u comes from
+    the least precise of U, V and the scores. Past e*u > 1e-3 the bound is
+    not worth using: M is infinite and every query falls back.
+    """
+    u = max(float(np.finfo(dt).eps) / 2 for dt in dtypes)
+    if e * u > 1e-3:
+        return float("inf")
+    gamma = e * u / (1 - e * u)
+    return 4 * 1.01**2 * gamma + 4 * u
+
+
+def _query_ranks(U: np.ndarray, V: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """`rank_of(U @ V[q], targets[q])` for every query row q of V.
+
+    Scores come from `V[block] @ U.T`, one block of queries at a time. A
+    query whose other clips all score outside the margin M of its true
+    clip is ranked from the block. The rest (near ties, exact ties, NaN)
+    are ranked again by the one-item `rank_of(U @ v, t)` on a fresh copy
+    of the query, so `rank_of`'s index tie-break decides exact ties.
+    """
+    score_dtype = np.result_type(U, V)
+    M = _margin(U.shape[1], U.dtype, V.dtype, score_dtype)
+    block = max(1, _SCORE_BLOCK_BYTES // (U.shape[0] * score_dtype.itemsize))
+    ranks = np.empty(V.shape[0], dtype=np.int64)
+    for lo in range(0, V.shape[0], block):
+        S = V[lo:lo + block] @ U.T
+        t = targets[lo:lo + block]
+        s_t = S[np.arange(S.shape[0]), t][:, None]
+        # int32 sums count a boolean block faster than np.count_nonzero
+        better = np.sum(S > s_t + M, axis=1, dtype=np.int32)
+        near = np.sum(S >= s_t - M, axis=1, dtype=np.int32) - better - 1
+        ranks[lo:lo + block] = better + 1
+        for i in np.flatnonzero(near != 0):
+            ranks[lo + i] = rank_of(U @ V[lo + i].copy(), int(t[i]))
+    return ranks
+
+
 def recall_at_k(ranks: list[int], k: int) -> float:
     if not ranks:
         raise ValueError("recall over empty rank list")
@@ -80,14 +135,11 @@ def evaluate_retrieval(
     for q in queries:
         if q not in gal_pos:
             raise ValueError(f"query {q!r} has no gallery clip")
-    clip_embs = np.stack([
-        embed_clip(params, clip_mean(store, gallery[cid], seg_len_s)[None])
-        for cid in gallery_ids
-    ])
-    ranks = []
-    for q in queries:
-        cap = embed_caption(params, store.caption_features[q])
-        ranks.append(rank_of(clip_embs @ cap, gal_pos[q]))
+    U = embed_clips(
+        params, [clip_mean(store, gallery[cid], seg_len_s) for cid in gallery_ids], gallery_ids
+    )
+    V = embed_captions(params, [store.caption_features[q] for q in queries], queries)
+    ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries])).tolist()
     return RetrievalMetrics(
         r_at={k: recall_at_k(ranks, k) for k in R_AT_KS},
         med_r=median_rank(ranks),

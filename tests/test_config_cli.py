@@ -2,8 +2,10 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import clipedit.cli as cli
 from clipedit.cli import ABLATE_AXES, _load_corpus, _parse_values, main
 from clipedit.config import (
     DEFAULTS,
@@ -14,6 +16,7 @@ from clipedit.config import (
     load_run_config,
     parse_set,
 )
+from clipedit.corpus import read_feat_matrix, write_feat_matrix
 from clipedit.encoder import NumericError, load_checkpoint
 
 
@@ -239,6 +242,55 @@ class TestCliExitCodes:
         assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert "annotations.jsonl:2:" in err and "annotations.jsonl:1" in err
+
+
+    def file_corpus_cfg(self, tmp_path, **over):
+        cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
+        assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0
+        cfg = synth_dict(synth=None, features_dir=corpus,
+                         annotations_file=str(Path(corpus) / "annotations.jsonl"), **over)
+        return Path(corpus), write_cfg(tmp_path, cfg, "cfg2.json")
+
+    @pytest.mark.parametrize("value,what", [(0.0, "zero-norm"), (np.nan, "non-finite")])
+    def test_bad_caption_row_exits_2(self, tmp_path, capsys, value, what):
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        entry = json.loads((corpus / "captions.idx").read_text().splitlines()[2])
+        matrix = read_feat_matrix(corpus / "captions.feat")
+        matrix[entry["row"]] = 0.0
+        matrix[entry["row"], 1] = value
+        write_feat_matrix(corpus / "captions.feat", matrix)
+        capsys.readouterr()
+        for command in ("warmup", "cotrain"):
+            assert main([command, "--config", cfg2_path, "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert "captions.idx:3:" in err and entry["caption_id"] in err and what in err
+
+    def test_edit_error_exits_2_naming_caption(self, tmp_path, capsys, monkeypatch):
+        # a zero caption row that reaches the editor: the random teacher's
+        # zero bias leaves its projection degenerate
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        anns = [json.loads(line) for line in (corpus / "annotations.jsonl").read_text().splitlines()]
+        victim = next(a for a in anns if a["split"] == "train")
+        load = cli.load_features
+
+        def load_and_zero(dir_path):
+            store = load(dir_path)
+            store.caption_features[victim["caption_id"]] = np.zeros(8, dtype=np.float32)
+            return store
+        monkeypatch.setattr(cli, "load_features", load_and_zero)
+        capsys.readouterr()
+        code = main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run"),
+                     "--set", 'cotrain.teacher_mode="random"'])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert victim["caption_id"] in err and "degenerate embedding" in err
+
+    def test_numeric_error_in_editor_exits_3(self, tmp_path, monkeypatch):
+        def boom(*args):
+            raise NumericError("non-finite segment similarity")
+        monkeypatch.setattr("clipedit.editor.segment_similarities", boom)
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out]) == 3
 
 
 class TestCliSynth:

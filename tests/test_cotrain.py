@@ -3,7 +3,9 @@ import importlib
 import numpy as np
 import pytest
 
-from clipedit.corpus import ClipRef, FeatureStore, SynthConfig, VideoRecord, synth_corpus
+from clipedit.corpus import (
+    ClipRef, FeatureStore, SynthConfig, VideoRecord, clip_mean, synth_corpus,
+)
 from clipedit.cotrain import (
     CoTrainConfig,
     apply_jitter,
@@ -15,7 +17,9 @@ from clipedit.cotrain import (
     write_cotrain_log,
 )
 from clipedit.editor import EditConfig, edit_all
-from clipedit.encoder import EncoderParams, TrainConfig, make_optimizer, train_epoch
+from clipedit.encoder import (
+    EncoderParams, TrainConfig, embed_caption, embed_clip, make_optimizer, similarity, train_epoch,
+)
 from clipedit.evalrep import evaluate_retrieval
 from clipedit.timeline import InitStrategy, Interval, iou
 
@@ -146,6 +150,32 @@ class TestControlSet:
         store, clips = self.one_hot_store()
         with pytest.raises(ValueError, match="control set empty; lower gamma"):
             select_control_set(EncoderParams.identity(4), store, clips, 1.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mid_gamma_matches_one_item_reference(self, dtype):
+        store, anns = small_corpus(noise=0.4, cap_noise=0.3, seed=3, n_train=12)
+        clips = build_initial_assignment(store, anns, MID)
+        p = EncoderParams.init_random(16, rng=np.random.default_rng(2), dtype=dtype)
+        p.b_v[:] = 0.1
+        sims = {
+            cid: similarity(
+                embed_clip(p, clip_mean(store, clips[cid])[None]),
+                embed_caption(p, store.caption_features[cid]),
+            )
+            for cid in sorted(clips)
+        }
+        # gamma equal to a mid-range score: that caption must be left out
+        gamma = sorted(sims.values())[len(sims) // 2]
+        expect = tuple(cid for cid in sorted(clips) if sims[cid] > gamma)
+        ctl = select_control_set(p, store, clips, gamma)
+        assert ctl.caption_ids == expect and 0 < len(expect) < len(clips)
+        assert ctl.frozen_clips == {cid: clips[cid] for cid in expect}
+
+    def test_zero_norm_row_named(self):
+        store, clips = self.one_hot_store()
+        store.caption_features["c2"] = np.zeros(4, dtype=np.float32)
+        with pytest.raises(ValueError, match="zero-norm caption 'c2'"):
+            select_control_set(EncoderParams.identity(4), store, clips, -1.0)
 
     def test_monitor_singleton_is_one(self):
         store, clips = self.one_hot_store()

@@ -335,7 +335,7 @@ class TestEditAll:
     def test_error_names_caption(self):
         store, clips = self.build()
         del store.caption_features["v0_c0"]
-        with pytest.raises(RuntimeError, match="v0_c0"):
+        with pytest.raises(ValueError, match="v0_c0"):
             edit_all(EncoderParams.identity(6), store, clips, EditConfig())
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clipedit.corpus import SynthConfig, synth_corpus
 from clipedit.cotrain import build_initial_assignment
@@ -11,7 +12,9 @@ from clipedit.encoder import (
     NumericError,
     TrainConfig,
     embed_caption,
+    embed_captions,
     embed_clip,
+    embed_clips,
     info_nce,
     load_checkpoint,
     make_optimizer,
@@ -101,6 +104,50 @@ class TestEmbeddings:
         assert similarity(u, u) == 1.0
         assert similarity(u, np.array([0.0, 1.0])) == 0.0
         assert similarity(u, -u) == -1.0
+
+
+class TestBatchedEmbeddings:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d_in=st.integers(1, 70), d_out=st.integers(1, 70), n=st.integers(1, 40),
+        param_dtype=st.sampled_from([np.float32, np.float64]),
+        feat_dtype=st.sampled_from([np.float32, np.float64]),
+        scale=st.sampled_from([1e-4, 1.0, 1e4]), bias=st.sampled_from([0.0, 0.3, 5.0]),
+        offset=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_stacked_one_item_embeddings(
+        self, d_in, d_out, n, param_dtype, feat_dtype, scale, bias, offset, seed
+    ):
+        rng = np.random.default_rng(seed)
+        p = EncoderParams.init_random(d_in, d_out, rng=rng, dtype=param_dtype)
+        p.b_v[:] = bias * rng.standard_normal(d_out)
+        p.b_c[:] = bias * rng.standard_normal(d_out)
+        X = (scale * rng.standard_normal((n, d_in))).astype(feat_dtype)
+        if offset:  # rows that start off the allocator's alignment
+            buf = np.empty(n * d_in + 1, dtype=feat_dtype)
+            buf[1:] = X.ravel()
+            X = buf[1:].reshape(n, d_in)
+        clips_ref = np.stack([embed_clip(p, x[None]) for x in X])
+        caps_ref = np.stack([embed_caption(p, x) for x in X])
+        for rows in (X, list(X)):
+            clips, caps = embed_clips(p, rows), embed_captions(p, rows)
+            assert clips.dtype == clips_ref.dtype and np.array_equal(clips, clips_ref)
+            assert caps.dtype == caps_ref.dtype and np.array_equal(caps, caps_ref)
+
+    def test_empty(self):
+        p = EncoderParams.identity(3)
+        assert embed_clips(p, []).shape == (0, 3)
+        assert embed_captions(p, np.zeros((0, 3))).shape == (0, 3)
+
+    def test_zero_norm_row_named_by_id(self):
+        p = EncoderParams.identity(3)
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="zero-norm clip 'b'"):
+            embed_clips(p, rows, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="zero-norm caption 'b'"):
+            embed_captions(p, rows, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="degenerate"):
+            embed_clips(p, rows)
 
 
 class TestInfoNCE:

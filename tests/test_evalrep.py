@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from clipedit.corpus import ClipRef, FeatureStore, VideoRecord
-from clipedit.encoder import EncoderParams
+import clipedit.evalrep as evalrep
+from clipedit.corpus import ClipRef, FeatureStore, VideoRecord, clip_mean
+from clipedit.encoder import EncoderParams, embed_caption, embed_captions, embed_clip, embed_clips
 from clipedit.evalrep import (
+    RetrievalMetrics,
+    R_AT_KS,
     evaluate_retrieval,
     iou_histogram,
     median_rank,
@@ -127,6 +130,184 @@ class TestEvaluateRetrieval:
             m = evaluate_retrieval(p, store, sorted(gallery), gallery)
             meds.append(m.med_r)
         assert 0.3 * n <= float(np.mean(meds)) <= 0.7 * n
+
+
+def ranks_ref(params, store, queries, gallery):
+    """The one-item retrieval loop `evaluate_retrieval` replaced: one clip
+    embedding per gallery item, one gemv and `rank_of` per query."""
+    gallery_ids = sorted(gallery)
+    gal_pos = {cid: i for i, cid in enumerate(gallery_ids)}
+    clip_embs = np.stack([
+        embed_clip(params, clip_mean(store, gallery[cid])[None])
+        for cid in gallery_ids
+    ])
+    ranks = []
+    for q in queries:
+        cap = embed_caption(params, store.caption_features[q])
+        ranks.append(rank_of(clip_embs @ cap, gal_pos[q]))
+    return ranks
+
+
+def metrics_ref(params, store, queries, gallery):
+    ranks = ranks_ref(params, store, queries, gallery)
+    return RetrievalMetrics(
+        r_at={k: recall_at_k(ranks, k) for k in R_AT_KS},
+        med_r=median_rank(ranks), n_queries=len(queries),
+    )
+
+
+def kernel_ranks(params, store, queries, gallery):
+    """`evalrep._query_ranks` on the same embeddings `evaluate_retrieval` builds."""
+    gallery_ids = sorted(gallery)
+    U = embed_clips(params, [clip_mean(store, gallery[cid]) for cid in gallery_ids])
+    V = embed_captions(params, [store.caption_features[q] for q in queries])
+    pos = {cid: i for i, cid in enumerate(gallery_ids)}
+    return evalrep._query_ranks(U, V, np.array([pos[q] for q in queries])).tolist()
+
+
+def random_store(rng, n, d, dtype, n_videos=None, cap_noise=0.5):
+    """n captions over n_videos random videos; each caption is a noisy copy
+    of its clip's pooled features, so ranks spread over the whole gallery."""
+    n_videos = n if n_videos is None else n_videos
+    store, gallery = FeatureStore(), {}
+    for v in range(n_videos):
+        store.videos[f"v{v}"] = VideoRecord(
+            f"v{v}", 12.0, rng.standard_normal((12, d)).astype(dtype))
+    for i in range(n):
+        start = float(rng.integers(0, 8))
+        ref = ClipRef(f"v{rng.integers(n_videos)}", Interval(start, start + float(rng.integers(1, 5))))
+        gallery[f"c{i:03d}"] = ref
+        cap = clip_mean(store, ref) + cap_noise * rng.standard_normal(d)
+        store.caption_features[f"c{i:03d}"] = cap.astype(dtype)
+    return store, gallery
+
+
+@pytest.fixture(params=[None, 3], ids=["one_block", "blocks_of_3"])
+def block_bytes(request, monkeypatch):
+    """Run each test with the default score block and with blocks of three
+    queries (the block size derives from the byte budget)."""
+    def set_for(n_gallery, itemsize):
+        if request.param is not None:
+            monkeypatch.setattr(evalrep, "_SCORE_BLOCK_BYTES", request.param * n_gallery * itemsize)
+    return set_for
+
+
+def counting_rank_of(monkeypatch):
+    calls = []
+
+    def wrapped(sim_row, true_index):
+        calls.append(true_index)
+        return rank_of(sim_row, true_index)
+    monkeypatch.setattr(evalrep, "rank_of", wrapped)
+    return calls
+
+
+class TestBatchedRetrievalExact:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40), d=st.sampled_from([2, 3, 8, 16, 33]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        bias=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2**32 - 1),
+        n_queries=st.integers(1, 40), block=st.sampled_from([1, 3, None]),
+    )
+    def test_random_float32_params_match_one_item_loop(
+        self, n, d, dtype, bias, seed, n_queries, block
+    ):
+        rng = np.random.default_rng(seed)
+        store, gallery = random_store(rng, n, d, dtype, n_videos=max(1, n // 3))
+        p = EncoderParams.init_random(d, rng=rng, dtype=np.float32)
+        p.b_v[:] = bias * rng.standard_normal(d)
+        p.b_c[:] = bias * rng.standard_normal(d)
+        queries = [str(q) for q in rng.choice(sorted(gallery), size=n_queries)]
+        ref = ranks_ref(p, store, queries, gallery)
+        saved = evalrep._SCORE_BLOCK_BYTES
+        try:
+            if block is not None:  # blocks of `block` float64 or 2*`block` float32 queries
+                evalrep._SCORE_BLOCK_BYTES = block * n * 8
+            assert kernel_ranks(p, store, queries, gallery) == ref
+            assert evaluate_retrieval(p, store, queries, gallery) == metrics_ref(
+                p, store, queries, gallery)
+        finally:
+            evalrep._SCORE_BLOCK_BYTES = saved
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identity_float64_params_match_one_item_loop(self, seed, block_bytes):
+        rng = np.random.default_rng(seed)
+        store, gallery = random_store(rng, 60, 16, np.float64, n_videos=20)
+        p = EncoderParams.identity(16)
+        block_bytes(60, 8)
+        queries = sorted(gallery)
+        assert kernel_ranks(p, store, queries, gallery) == ranks_ref(p, store, queries, gallery)
+        assert evaluate_retrieval(p, store, queries, gallery) == metrics_ref(
+            p, store, queries, gallery)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_ties_keep_index_tie_break(self, dtype, block_bytes, monkeypatch):
+        # c000..c003 share one clip (bit-identical gallery rows) and one
+        # caption; c004's caption is its own clip's pooled vector, so a
+        # query equals a gallery row
+        rng = np.random.default_rng(11)
+        store, gallery = random_store(rng, 8, 6, dtype)
+        for cid in ("c001", "c002", "c003"):
+            gallery[cid] = gallery["c000"]
+            store.caption_features[cid] = store.caption_features["c000"]
+        store.caption_features["c004"] = clip_mean(store, gallery["c004"]).copy()
+        p = EncoderParams.identity(6, dtype=dtype)
+        block_bytes(8, np.dtype(dtype).itemsize)
+        queries = sorted(gallery)
+        calls = counting_rank_of(monkeypatch)
+        ranks = kernel_ranks(p, store, queries, gallery)
+        assert ranks == ranks_ref(p, store, queries, gallery)
+        # the duplicates tie with one another: their ranks differ by index
+        assert ranks[:4] == [ranks[0], ranks[0] + 1, ranks[0] + 2, ranks[0] + 3]
+        assert {0, 1, 2, 3} <= set(calls)  # exact ties are decided by rank_of
+
+    def test_near_ties_inside_margin_fall_back(self, block_bytes, monkeypatch):
+        # clip j scores 1/sqrt(1+theta^2), about 1.25e-15 below its neighbour's
+        # exact 1.0: distinct doubles, both inside the margin of the other
+        d = 16
+        theta = 5e-8
+        store, gallery = FeatureStore(), {}
+        rows = np.zeros((4, d))
+        rows[0, 0] = 1.0                      # clip of "a": e0
+        rows[1, 0], rows[1, 1] = 1.0, theta   # clip of "b": e0 tilted by theta
+        rows[2, 2] = 1.0                      # clip of "c": e2, far from both
+        rows[3, 3] = 1.0                      # clip of "d": e3
+        store.videos["v"] = VideoRecord("v", 4.0, rows)
+        for i, cid in enumerate("abcd"):
+            gallery[cid] = ClipRef("v", Interval(float(i), i + 1.0))
+            store.caption_features[cid] = rows[i].copy()
+        store.caption_features["b"] = rows[0].copy()  # "b" asks for e0 too
+        p = EncoderParams.identity(d)
+        block_bytes(4, 8)
+        queries = sorted(gallery)
+        gemv = embed_clips(p, [clip_mean(store, gallery[c]) for c in queries]) @ rows[0]
+        margin = evalrep._margin(d, np.dtype(np.float64))
+        assert 0.0 < gemv[0] - gemv[1] < margin / 4
+        calls = counting_rank_of(monkeypatch)
+        ranks = kernel_ranks(p, store, queries, gallery)
+        assert ranks == ranks_ref(p, store, queries, gallery) == [1, 2, 1, 1]
+        assert sorted(calls) == [0, 1]  # only "a" and "b" sit inside the margin
+
+    def test_margin_is_derived_not_tuned(self):
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        u = 2.0**-24
+        gamma = 32 * u / (1 - 32 * u)
+        assert evalrep._margin(32, f32) == pytest.approx(4 * 1.01**2 * gamma + 4 * u, rel=1e-12)
+        assert evalrep._margin(128, f32, f64) > evalrep._margin(32, f32)
+        assert evalrep._margin(16, f64) < 1e-13
+        assert evalrep._margin(100_000, f32) == float("inf")
+
+    def test_degenerate_rows_name_their_ids(self):
+        store, gallery = separable_store(4)
+        p = EncoderParams.identity(16)
+        store.caption_features["c2"] = np.zeros(16, dtype=np.float32)
+        with pytest.raises(ValueError, match="zero-norm caption 'c2'"):
+            evaluate_retrieval(p, store, sorted(gallery), gallery)
+        store, gallery = separable_store(4)
+        store.videos["v3"] = VideoRecord("v3", 6.0, np.zeros((6, 16), dtype=np.float32))
+        with pytest.raises(ValueError, match="zero-norm clip 'c3'"):
+            evaluate_retrieval(p, store, ["c0"], gallery)
 
 
 class TestIoUHistogram:
