@@ -26,13 +26,7 @@ from .corpus import (
     write_annotations,
     write_features,
 )
-from .cotrain import (
-    apply_jitter,
-    build_initial_assignment,
-    cotrain,
-    warmup,
-    write_cotrain_log,
-)
+from .cotrain import apply_jitter, build_initial_assignment, cotrain, warmup
 from .editor import write_edits
 from .encoder import NumericError, load_checkpoint, save_checkpoint
 from .evalrep import (

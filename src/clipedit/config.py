@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -18,6 +18,11 @@ class ConfigError(ValueError):
     """Invalid configuration file, override, or field value."""
 
 
+def _defaults(cls) -> dict[str, Any]:
+    """Each field of the dataclass `cls` that has a plain default, mapped to it."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 DEFAULTS: dict[str, Any] = {
     "seed": 0,
     "features_dir": None,
@@ -27,27 +32,9 @@ DEFAULTS: dict[str, Any] = {
     "init_strategy": "midpoint_neighbors",
     "jitter_fraction": 0.0,
     "max_jitter_s": 2.0,
-    "train": {
-        "batch_size": 32,
-        "learning_rate": 1e-3,
-        "epochs": 10,
-        "optimizer": "adam",
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "seed": 0,
-    },
-    "edit": {
-        "k": 10,
-        "seg_len_s": 1.0,
-        "iou_gate": 0.0,
-    },
-    "cotrain": {
-        "gamma": 0.0,
-        "patience": 5,
-        "max_epochs": 50,
-        "teacher_mode": "update",
-    },
+    "train": _defaults(TrainConfig),
+    "edit": _defaults(EditConfig),
+    "cotrain": _defaults(CoTrainConfig),
 }
 
 SYNTH_DEFAULTS: dict[str, Any] = {
@@ -57,11 +44,11 @@ SYNTH_DEFAULTS: dict[str, Any] = {
     "video_len_s": 60.0,
     "gt_len_range": [4.0, 8.0],
     "dim": 32,
-    "noise_sigma": 0.0,
-    "caption_noise_sigma": 0.0,
-    "align_gt_to_seconds": False,
-    "seed": 0,
+    **_defaults(SynthConfig),
 }
+
+# the type of each key whose default is null: a string, or a synth block
+_NULLABLE: dict[str, Any] = {"features_dir": "", "annotations_file": "", "synth": SYNTH_DEFAULTS}
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -75,6 +62,33 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         else:
             out[key] = value
     return out
+
+
+def _typed(key: str, value: Any, default: Any) -> Any:
+    """`value` checked against the type of its `default`; an int passes for a float.
+
+    A dict is merged over its defaults first, so every key it ends with is
+    known and typed.
+    """
+    if default is None:
+        return None if value is None else _typed(key, value, _NULLABLE[key])
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be object, got {value!r}")
+        return {
+            k: _typed(f"{key}.{k}" if key else k, v, default[k])
+            for k, v in _merge(default, value, key).items()
+        }
+    if isinstance(default, list):
+        if not (isinstance(value, (list, tuple)) and len(value) == len(default)):
+            raise ConfigError(f"{key} must be a list of {len(default)}, got {value!r}")
+        return [_typed(key, v, d) for v, d in zip(value, default)]
+    if isinstance(default, float):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    elif isinstance(value, type(default)) and isinstance(value, bool) == isinstance(default, bool):
+        return value
+    raise ConfigError(f"{key} must be {type(default).__name__}, got {value!r}")
 
 
 def parse_set(arg: str) -> tuple[list[str], Any]:
@@ -141,45 +155,27 @@ class RunConfig:
 
 
 def build_run_config(cfg: dict) -> RunConfig:
-    """Validate the merged dict and construct typed sub-configs."""
-    synth = None
-    if cfg["synth"] is not None:
-        s = dict(cfg["synth"])
-        rng_range = s.pop("gt_len_range")
-        if not (isinstance(rng_range, (list, tuple)) and len(rng_range) == 2):
-            raise ConfigError("synth.gt_len_range must be [min_s, max_s]")
+    """Type-check the merged dict and construct typed sub-configs."""
+    cfg = _typed("", cfg, DEFAULTS)
+    synth = cfg["synth"]
+    if synth is not None:
         try:
-            synth = SynthConfig(gt_len_range=(float(rng_range[0]), float(rng_range[1])), **s)
-        except (TypeError, ValueError) as exc:
+            cfg["synth"] = SynthConfig(**dict(synth, gt_len_range=tuple(synth["gt_len_range"])))
+        except ValueError as exc:
             raise ConfigError(f"synth: {exc}") from exc
     has_real = cfg["features_dir"] is not None
     if has_real == (synth is not None):
         raise ConfigError("exactly one of features_dir or synth must be set")
     if has_real and cfg["annotations_file"] is None:
         raise ConfigError("features_dir requires annotations_file")
+    train, edit, cotrain = (cfg.pop(k) for k in ("train", "edit", "cotrain"))
     try:
-        strategy = InitStrategy.parse(str(cfg["init_strategy"]))
-        co = cfg["cotrain"]
-        cotrain = CoTrainConfig(
-            train=TrainConfig(**cfg["train"]),
-            edit=EditConfig(**cfg["edit"]),
-            gamma=float(co["gamma"]),
-            patience=int(co["patience"]),
-            max_epochs=int(co["max_epochs"]),
-            teacher_mode=str(co["teacher_mode"]),
-        )
-        run = RunConfig(
-            seed=int(cfg["seed"]),
-            features_dir=cfg["features_dir"],
-            annotations_file=cfg["annotations_file"],
-            out_dir=str(cfg["out_dir"]),
-            synth=synth,
-            init_strategy=strategy,
-            jitter_fraction=float(cfg["jitter_fraction"]),
-            max_jitter_s=float(cfg["max_jitter_s"]),
-            cotrain=cotrain,
-        )
-    except (TypeError, ValueError) as exc:
+        run = RunConfig(**dict(
+            cfg,
+            init_strategy=InitStrategy.parse(cfg["init_strategy"]),
+            cotrain=CoTrainConfig(train=TrainConfig(**train), edit=EditConfig(**edit), **cotrain),
+        ))
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if not 0.0 <= run.jitter_fraction <= 1.0:
         raise ConfigError(f"jitter_fraction must be in [0,1], got {run.jitter_fraction}")

@@ -184,6 +184,7 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
     path = Path(path)
     out: list[CaptionAnnotation] = []
     line_of: dict[str, int] = {}  # caption_id -> line
+    first_at: dict[tuple[str, str, float], str] = {}  # (video_id, split, timestamp) -> caption_id
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -227,24 +228,15 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                     )
                 if ann.caption_id not in store.caption_features:
                     raise ValueError(f"{path}:{lineno}: no caption features for {ann.caption_id!r}")
+            first = first_at.setdefault((ann.video_id, ann.split, ann.timestamp_s), ann.caption_id)
+            if first != ann.caption_id:
+                raise ValueError(
+                    f"{path}:{lineno}: caption {ann.caption_id!r} has the same video, split and "
+                    f"timestamp {ann.timestamp_s} as the caption at {path}:{line_of[first]}"
+                )
             line_of[ann.caption_id] = lineno
             out.append(ann)
     out.sort(key=lambda a: (a.video_id, a.timestamp_s))
-    # the sort is stable, so captions sharing a video and timestamp form one
-    # run in file order
-    run_start = 0
-    for i in range(1, len(out)):
-        a, b = out[i - 1], out[i]
-        if b.timestamp_s != a.timestamp_s or b.video_id != a.video_id:
-            run_start = i
-            continue
-        for first in out[run_start:i]:
-            if first.split == b.split:
-                raise ValueError(
-                    f"{path}:{line_of[b.caption_id]}: caption {b.caption_id!r} has the same "
-                    f"video, split and timestamp {b.timestamp_s} as the caption at "
-                    f"{path}:{line_of[first.caption_id]}"
-                )
     return out
 
 
@@ -314,6 +306,8 @@ def load_features(dir_path: str | Path) -> FeatureStore:
             )
         if path.name == "captions.feat":
             continue
+        if not matrix.shape[0]:
+            raise ValueError(f"{path}: video has no feature rows")
         video_id = path.stem
         store.videos[video_id] = VideoRecord(
             video_id=video_id, duration_s=float(matrix.shape[0]), features=matrix

@@ -11,9 +11,7 @@ re-editing would repeat exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -259,8 +257,3 @@ def cotrain(
         control=control,
         last_edits=last_edits,
     )
-
-
-def write_cotrain_log(path: str | Path, log: list[dict]) -> None:
-    lines = [json.dumps(rec) for rec in log]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -347,7 +347,10 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     for size in sizes:
         arrs.append(flat[cursor:cursor + size].copy())
         cursor += size
-    return EncoderParams(
-        W_v=arrs[0].reshape(d_out, d_in), b_v=arrs[1],
-        W_c=arrs[2].reshape(d_out, d_in), b_c=arrs[3], tau=tau,
-    )
+    try:
+        return EncoderParams(
+            W_v=arrs[0].reshape(d_out, d_in), b_v=arrs[1],
+            W_c=arrs[2].reshape(d_out, d_in), b_c=arrs[3], tau=tau,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

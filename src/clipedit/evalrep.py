@@ -121,7 +121,6 @@ def evaluate_retrieval(
     store: FeatureStore,
     queries: list[str],
     gallery: ClipAssignment,
-    seg_len_s: float = 1.0,
 ) -> RetrievalMetrics:
     """Rank each query caption against the full clip gallery.
 
@@ -135,9 +134,7 @@ def evaluate_retrieval(
     for q in queries:
         if q not in gal_pos:
             raise ValueError(f"query {q!r} has no gallery clip")
-    U = embed_clips(
-        params, [clip_mean(store, gallery[cid], seg_len_s) for cid in gallery_ids], gallery_ids
-    )
+    U = embed_clips(params, [clip_mean(store, gallery[cid]) for cid in gallery_ids], gallery_ids)
     V = embed_captions(params, [store.caption_features[q] for q in queries], queries)
     ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries])).tolist()
     return RetrievalMetrics(

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import clipedit.cli as cli
 from clipedit.cli import ABLATE_AXES, _load_corpus, _parse_values, main
 from clipedit.config import (
     DEFAULTS,
+    SYNTH_DEFAULTS,
     ConfigError,
     apply_set,
     build_run_config,
@@ -17,7 +19,7 @@ from clipedit.config import (
     parse_set,
 )
 from clipedit.corpus import read_feat_matrix, write_feat_matrix
-from clipedit.encoder import NumericError, load_checkpoint
+from clipedit.encoder import EncoderParams, NumericError, load_checkpoint, save_checkpoint
 
 
 def synth_dict(**over):
@@ -54,6 +56,12 @@ class TestConfigDict:
         assert cfg is not DEFAULTS
         cfg["train"]["epochs"] = -99
         assert DEFAULTS["train"]["epochs"] != -99  # deep copy
+
+    def test_readme_configuration_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == dict(DEFAULTS, synth=SYNTH_DEFAULTS)
 
     def test_file_merges_over_defaults(self, tmp_path):
         path = write_cfg(tmp_path, {"seed": 5, "train": {"epochs": 2}})
@@ -152,6 +160,22 @@ class TestBuildRunConfig:
         with pytest.raises(ConfigError, match="teacher_mode"):
             build_run_config(load_config_dict_from(cfg))
 
+    def test_int_for_float_field_is_stored_as_float(self, tmp_path):
+        run = load_run_config(
+            write_cfg(tmp_path, synth_dict()),
+            ["cotrain.gamma=0", "edit.iou_gate=1", "jitter_fraction=0",
+             "synth.video_len_s=30", "synth.gt_len_range=[4,7]"],
+        )
+        for value, want in ((run.cotrain.gamma, 0.0), (run.cotrain.edit.iou_gate, 1.0),
+                            (run.jitter_fraction, 0.0), (run.synth.video_len_s, 30.0),
+                            *zip(run.synth.gt_len_range, (4.0, 7.0))):
+            assert type(value) is float and value == want
+
+    def test_partial_synth_object_is_merged_over_synth_defaults(self):
+        run = load_run_config(None, ['synth={"dim": 8}'])
+        assert run.synth.dim == 8
+        assert run.synth.n_train_videos == SYNTH_DEFAULTS["n_train_videos"]
+
     def test_valid_synth_run(self, tmp_path):
         run = load_run_config(write_cfg(tmp_path, synth_dict()))
         assert run.synth is not None
@@ -178,6 +202,25 @@ class TestCliExitCodes:
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["synth", "--config", cfg_path, "--set", "nope=1", "--out", out]) == 2
         assert "nope" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "train.batch_size=4.5", "train.epochs=1.5", "train.seed=1.5", "edit.k=3.5",
+        "synth.dim=8.5", "synth.n_train_videos=2.5", "synth.seed=1.5", "synth=5",
+        "annotations_file=[1]", 'cotrain.gamma="0.5"', 'edit.iou_gate="0.5"', "seed=1.7",
+        "cotrain.patience=true", "out_dir=5",
+    ])
+    def test_wrong_type_exits_2_naming_key(self, tmp_path, capsys, setting):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {setting.partition('=')[0]} must be ")
+        assert "Traceback" not in err
+
+    def test_ablate_wrong_type_exits_2_naming_key(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["ablate", "--config", cfg_path, "--out", out,
+                     "--axis", "topk", "--values", "4.5"]) == 2
+        assert "config error: edit.k must be int, got 4.5" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -284,6 +327,29 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert victim["caption_id"] in err and "degenerate embedding" in err
+
+    def test_empty_video_feat_exits_2_naming_file(self, tmp_path, capsys):
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        victim = sorted(p for p in corpus.glob("*.feat") if p.name != "captions.feat")[0]
+        write_feat_matrix(victim, np.zeros((0, 8), dtype=np.float32))
+        capsys.readouterr()
+        assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err and "no feature rows" in err
+
+    @pytest.mark.parametrize("offset,patch,what", [
+        (20, struct.pack("<f", np.nan), "non-finite values in W_v"),
+        (12, struct.pack("<d", -1.0), "tau must be > 0"),
+    ], ids=["nan_weight", "negative_tau"])
+    def test_bad_checkpoint_value_exits_2_naming_file(self, tmp_path, capsys, offset, patch, what):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        ckpt = tmp_path / "bad.cfp"
+        save_checkpoint(ckpt, EncoderParams.identity(8))
+        raw = bytearray(ckpt.read_bytes())
+        raw[offset:offset + len(patch)] = patch
+        ckpt.write_bytes(bytes(raw))
+        assert main(["eval", "--config", cfg_path, "--out", out, "--checkpoint", str(ckpt)]) == 2
+        assert f"{ckpt}: {what}" in capsys.readouterr().err
 
     def test_numeric_error_in_editor_exits_3(self, tmp_path, monkeypatch):
         def boom(*args):

@@ -14,7 +14,6 @@ from clipedit.cotrain import (
     monitor_metric,
     select_control_set,
     warmup,
-    write_cotrain_log,
 )
 from clipedit.editor import EditConfig, edit_all
 from clipedit.encoder import (
@@ -422,13 +421,3 @@ class TestCoTrainConfig:
             CoTrainConfig(max_epochs=-1)
         with pytest.raises(ValueError, match="teacher_mode"):
             CoTrainConfig(teacher_mode="ema")
-
-
-class TestLogWriter:
-    def test_jsonl(self, tmp_path):
-        import json
-        log = [{"epoch": 1, "train_loss": 0.5, "monitor": 0.2,
-                "n_applied_edits": 3, "teacher_updated": True}]
-        path = tmp_path / "log.jsonl"
-        write_cotrain_log(path, log)
-        assert json.loads(path.read_text().strip()) == log[0]
