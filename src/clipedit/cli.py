@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -20,6 +21,7 @@ from .corpus import (
     CaptionAnnotation,
     ClipRef,
     FeatureStore,
+    atomic_write,
     load_annotations,
     load_features,
     synth_corpus,
@@ -237,10 +239,9 @@ def cmd_ablate(run: RunConfig, args) -> int:
         metrics = run_cotrain_pipeline(sub_run, args.check, corpus)
         rows.append([value, metrics.r_at[1], metrics.r_at[5], metrics.r_at[10], metrics.med_r])
         print(f"{args.axis}={value}: R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
-    with (out / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["value", "r1", "r5", "r10", "medr"])
-        w.writerows(rows)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([["value", "r1", "r5", "r10", "medr"], *rows])
+    atomic_write(out / "sweep.csv", buf.getvalue())
     return 0
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -65,7 +66,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _typed(key: str, value: Any, default: Any) -> Any:
-    """`value` checked against the type of its `default`; an int passes for a float.
+    """`value` checked against the type of its `default`; an int passes for a float, NaN and ±inf fail.
 
     A dict is merged over its defaults first, so every key it ends with is
     known and typed.
@@ -85,7 +86,9 @@ def _typed(key: str, value: Any, default: Any) -> Any:
         return [_typed(key, v, d) for v, d in zip(value, default)]
     if isinstance(default, float):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            if abs(value) <= sys.float_info.max:  # False for NaN and +-Infinity
+                return float(value)
+            raise ConfigError(f"{key} must be a finite float, got {value!r}")
     elif isinstance(value, type(default)) and isinstance(value, bool) == isinstance(default, bool):
         return value
     raise ConfigError(f"{key} must be {type(default).__name__}, got {value!r}")

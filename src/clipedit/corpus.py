@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,10 +167,22 @@ def _annotation_to_obj(a: CaptionAnnotation) -> dict:
     return obj
 
 
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write `data` (a str as UTF-8) to a temp file beside `path`, then `os.replace` it onto
+    `path`; on error the temp file is removed and `path` is left as it was."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_annotations(path: str | Path, annotations: list[CaptionAnnotation]) -> None:
     """Write annotations as canonical JSON Lines (stable field order)."""
     lines = [json.dumps(_annotation_to_obj(a)) for a in annotations]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_annotations(path: str | Path, store: FeatureStore | None = None) -> list[CaptionAnnotation]:
@@ -249,10 +262,7 @@ def write_feat_matrix(path: str | Path, matrix: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError("feature matrix must be 2-D")
     n_rows, dim = arr.shape
-    with Path(path).open("wb") as fh:
-        fh.write(FEAT_MAGIC)
-        fh.write(struct.pack("<II", dim, n_rows))
-        fh.write(arr.tobytes())
+    atomic_write(path, FEAT_MAGIC + struct.pack("<II", dim, n_rows) + arr.tobytes())
 
 
 def read_feat_matrix(path: str | Path) -> np.ndarray:
@@ -281,7 +291,7 @@ def write_features(dir_path: str | Path, store: FeatureStore) -> None:
         cap_matrix = np.stack([store.caption_features[c] for c in cap_ids])
         write_feat_matrix(dir_path / "captions.feat", cap_matrix)
         lines = [json.dumps({"caption_id": c, "row": i}) for i, c in enumerate(cap_ids)]
-        (dir_path / "captions.idx").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        atomic_write(dir_path / "captions.idx", "\n".join(lines) + "\n")
 
 
 def load_features(dir_path: str | Path) -> FeatureStore:

@@ -12,13 +12,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, ClipRef, FeatureStore, segment_features
+from .corpus import ClipAssignment, ClipRef, FeatureStore, atomic_write, segment_features
 from .encoder import EncoderParams, embed_caption
 from .timeline import Interval, SegmentGrid, iou, segment_grid
+
+# Bytes of one block's (B, C, C) float64 consensus IoU tensor: 32 captions
+# at k=10 (C = 45 candidates). It bounds the memory consensus adds to an edit.
+_IOU_BLOCK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,7 @@ def top_k_segments(sims: np.ndarray, k: int) -> list[int]:
     sims = np.asarray(sims)
     if sims.ndim != 1 or sims.size == 0:
         raise ValueError("sims must be a non-empty 1-D vector")
-    k_eff = min(k, sims.size)
-    chosen = np.argsort(-sims, kind="stable")[:k_eff]
-    return sorted(int(i) for i in chosen)
+    return sorted(int(i) for i in np.argsort(-sims, kind="stable")[:k])
 
 
 def enumerate_candidates(
@@ -67,12 +70,10 @@ def enumerate_candidates(
 
     Lexicographic (a, b) order; fewer than two indices yield no candidates.
     """
-    out: list[tuple[tuple[int, int], Interval]] = []
-    for ai in range(len(indices)):
-        for bi in range(ai + 1, len(indices)):
-            a, b = indices[ai], indices[bi]
-            out.append(((a, b), Interval(grid.segment(a).start_s, grid.segment(b).end_s)))
-    return out
+    return [
+        ((a, b), Interval(grid.segment(a).start_s, grid.segment(b).end_s))
+        for a, b in combinations(indices, 2)
+    ]
 
 
 def consensus_argmax(candidates: list[Interval]) -> int:
@@ -111,6 +112,74 @@ def segment_similarities(
     return z @ embed_caption(teacher, cap_feat)
 
 
+def _lead_bound(c: int) -> float:
+    """Lead M that a candidate's `np.sum` key needs over every other key
+    for `consensus_argmax` to pick that candidate too.
+
+    An IoU entry is in [0, 1] in floats as well: the computed intersection
+    is at most either length, so the union is at least the intersection. A
+    key sums c entries, and `np.sum` in any order lands within
+    gamma_{c-1}*c of the exact sum s, with unit roundoff u and
+    gamma_n = n*u/(1 - n*u). A key above fl(key_j + M), which is at least
+    key_j + M - 2*u*c, has s_b - s_j > 2*u*c >= u*(s_b + s_j), so the
+    correctly rounded `math.fsum` keys order b strictly first.
+    """
+    u = float(np.finfo(np.float64).eps) / 2
+    gamma = (c - 1) * u / (1 - (c - 1) * u)
+    return 2 * gamma * c + 4 * u * c
+
+
+def _decide(
+    sims_rows: list[np.ndarray], grids: list[SegmentGrid], initials: list[Interval],
+    cfg: EditConfig,
+) -> list[tuple[Interval, bool, tuple[int, ...], tuple[int, int] | None]]:
+    """`edit_from_sims` for a block of rows, done as arrays over the block.
+
+    NaN-padded negated scores sort stably behind every real score, NaN
+    included, so a row's first min(k, n) columns are `top_k_segments`'.
+    `np.triu_indices` pairs them in `enumerate_candidates`' order, with
+    `SegmentGrid.segment`'s float expressions. A row whose best `np.sum`
+    consensus key leads every other by more than `_lead_bound` keeps that
+    winner; any other row (a near or exact tie) runs `consensus_argmax`.
+    """
+    m = np.minimum([s.size for s in sims_rows], cfg.k)
+    k = max(2, int(m.max()))
+    scores = np.full((len(sims_rows), max(k, max(s.size for s in sims_rows))), np.nan)
+    for row, s in zip(scores, sims_rows):
+        row[:s.size] = s
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    topk = np.sort(np.where(np.arange(k) < m[:, None], order, scores.shape[1]), axis=1)
+    ia, ib = np.triu_indices(k, 1)
+    a, b = topk[:, ia], topk[:, ib]
+    valid = ib < m[:, None]
+    origin, seg_len, last, clip_end = (np.array(v)[:, None] for v in zip(*(
+        (g.origin_s, g.seg_len_s, g.n_segments - 1, g.clip_end_s) for g in grids)))
+    # a padding candidate is [-2, -1): it overlaps no clip, so it adds exact zeros
+    starts = np.where(valid, origin + a * seg_len, -2.0)
+    ends = np.where(valid, np.where(b == last, clip_end, origin + (b + 1) * seg_len), -1.0)
+    lengths = ends - starts
+    inter = (np.minimum(ends[:, :, None], ends[:, None, :])
+             - np.maximum(starts[:, :, None], starts[:, None, :]))
+    union = (lengths[:, :, None] + lengths[:, None, :]) - inter
+    keys = np.where(valid, np.sum(np.maximum(inter, 0.0) / union, axis=2), -np.inf)
+    sure = np.sum(keys + _lead_bound(len(ia)) >= keys.max(axis=1)[:, None], axis=1) == 1
+    out = []
+    for i, (top, mi, ok, j) in enumerate(
+            zip(topk.tolist(), m.tolist(), sure.tolist(), keys.argmax(axis=1).tolist())):
+        if mi < 2:
+            out.append((initials[i], False, tuple(top[:mi]), None))
+            continue
+        if top[mi - 1] >= grids[i].n_segments:  # more scores than segments: the reference's error
+            grids[i].segment(next(t for t in top if t >= grids[i].n_segments))
+        pair, edited = (int(a[i, j]), int(b[i, j])), Interval(float(starts[i, j]), float(ends[i, j]))
+        if not ok:  # a near or exact tie: the reference path decides
+            cands = enumerate_candidates(top[:mi], grids[i])
+            pair, edited = cands[consensus_argmax([iv for _, iv in cands])]
+        applied = iou(initials[i], edited) >= cfg.iou_gate
+        out.append((edited if applied else initials[i], applied, tuple(top[:mi]), pair))
+    return out
+
+
 def edit_from_sims(
     sims: np.ndarray, grid: SegmentGrid, initial: Interval, cfg: EditConfig
 ) -> tuple[Interval, bool, tuple[int, ...], tuple[int, int] | None]:
@@ -118,15 +187,10 @@ def edit_from_sims(
 
     Returns (edited, applied, topk_indices, winner_pair).
     """
-    topk = top_k_segments(sims, cfg.k)
-    if len(topk) < 2:
-        return initial, False, tuple(topk), None
-    pairs_and_intervals = enumerate_candidates(topk, grid)
-    winner = consensus_argmax([iv for _, iv in pairs_and_intervals])
-    pair, edited = pairs_and_intervals[winner]
-    if iou(initial, edited) >= cfg.iou_gate:
-        return edited, True, tuple(topk), pair
-    return initial, False, tuple(topk), pair
+    sims = np.asarray(sims)
+    if sims.ndim != 1 or sims.size == 0:
+        raise ValueError("sims must be a non-empty 1-D vector")
+    return _decide([sims], [grid], [initial], cfg)[0]
 
 
 def edit_clip(
@@ -136,29 +200,9 @@ def edit_clip(
     ref: ClipRef,
     cfg: EditConfig,
 ) -> EditResult:
-    """Run the full edit for one caption; falls back to the initial clip
-    when the clip is too short to edit or the IoU gate rejects the winner."""
-    cap_feat = store.caption_features.get(caption_id)
-    if cap_feat is None:
-        raise ValueError(f"no caption features for {caption_id!r}")
-    try:
-        grid = segment_grid(ref.interval, cfg.seg_len_s)
-        if grid.n_segments < 2:
-            return EditResult(
-                caption_id=caption_id, initial=ref.interval, edited=ref.interval,
-                applied=False, n_segments=grid.n_segments, topk_indices=(0,),
-                winner_pair=None,
-            )
-        seg_feats = segment_features(store, ref.video_id, grid)
-        sims = segment_similarities(teacher, seg_feats, cap_feat)
-    except ValueError as exc:
-        raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
-    edited, applied, topk, pair = edit_from_sims(sims, grid, ref.interval, cfg)
-    return EditResult(
-        caption_id=caption_id, initial=ref.interval, edited=edited,
-        applied=applied, n_segments=grid.n_segments, topk_indices=topk,
-        winner_pair=pair,
-    )
+    """Run the full edit for one caption (a block of one); falls back to the
+    initial clip when the clip is too short to edit or the gate rejects it."""
+    return edit_all(teacher, store, {caption_id: ref}, cfg)[1][0]
 
 
 def edit_all(
@@ -167,18 +211,36 @@ def edit_all(
     clips: ClipAssignment,
     cfg: EditConfig,
 ) -> tuple[ClipAssignment, list[EditResult]]:
-    """Edit every assigned clip; results ordered by caption_id."""
-    results = [edit_clip(teacher, store, cid, clips[cid], cfg) for cid in sorted(clips)]
-    new_clips: ClipAssignment = {
-        r.caption_id: ClipRef(clips[r.caption_id].video_id, r.edited) for r in results
-    }
-    return new_clips, results
+    """Edit every assigned clip; results ordered by caption_id. Each caption
+    is pooled and scored on its own (a clip of one segment is not pooled),
+    then `_decide` edits a block of them, sized by `_IOU_BLOCK_BYTES`."""
+    block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, cfg.k * (cfg.k - 1) // 2) ** 2))
+    items = sorted(clips.items())
+    results: list[EditResult] = []
+    for lo in range(0, len(items), block):
+        grids, sims = [], []
+        for caption_id, ref in items[lo:lo + block]:
+            cap_feat = store.caption_features.get(caption_id)
+            if cap_feat is None:
+                raise ValueError(f"no caption features for {caption_id!r}")
+            try:
+                grids.append(segment_grid(ref.interval, cfg.seg_len_s))
+                sims.append(segment_similarities(
+                    teacher, segment_features(store, ref.video_id, grids[-1]), cap_feat
+                ) if grids[-1].n_segments >= 2 else np.zeros(1))
+            except ValueError as exc:
+                raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
+        decided = _decide(sims, grids, [ref.interval for _, ref in items[lo:lo + block]], cfg)
+        results += [
+            EditResult(caption_id, ref.interval, *d[:2], grid.n_segments, *d[2:])
+            for (caption_id, ref), grid, d in zip(items[lo:lo + block], grids, decided)
+        ]
+    return {cid: ClipRef(ref.video_id, r.edited) for (cid, ref), r in zip(items, results)}, results
 
 
 def write_edits(path: str | Path, results: list[EditResult]) -> None:
-    lines = []
-    for r in results:
-        lines.append(json.dumps({
+    lines = [
+        json.dumps({
             "caption_id": r.caption_id,
             "initial": [r.initial.start_s, r.initial.end_s],
             "edited": [r.edited.start_s, r.edited.end_s],
@@ -186,5 +248,7 @@ def write_edits(path: str | Path, results: list[EditResult]) -> None:
             "n_segments": r.n_segments,
             "topk_indices": list(r.topk_indices),
             "winner_pair": list(r.winner_pair) if r.winner_pair is not None else None,
-        }))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        })
+        for r in results
+    ]
+    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))

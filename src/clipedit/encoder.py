@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, clip_mean
+from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_mean
 
 CKPT_MAGIC = b"CFP1"
 
@@ -323,11 +323,11 @@ def train_epoch(
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
-    with Path(path).open("wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<IId", params.d_in, params.d_out, params.tau))
-        for arr in (params.W_v, params.b_v, params.W_c, params.b_c):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    arrays = (params.W_v, params.b_v, params.W_c, params.b_c)
+    atomic_write(path, b"".join([
+        CKPT_MAGIC, struct.pack("<IId", params.d_in, params.d_out, params.tau),
+        *(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays),
+    ]))
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import statistics
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, clip_mean
+from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_mean
 from .encoder import EncoderParams, embed_captions, embed_clips
 from .timeline import Interval, iou
 
@@ -162,14 +163,15 @@ def write_metrics(path: str | Path, metrics: RetrievalMetrics, gallery_mode: str
     """`metrics.json` with the gallery-boundary mode used ("gt"|"initial")."""
     obj = metrics.as_dict()
     obj["gallery_mode"] = gallery_mode
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    atomic_write(path, json.dumps(obj, indent=2) + "\n")
 
 
 def write_iou_hist(path: str | Path, hist: IoUHistogram) -> None:
     """CSV with header bin_lo,bin_hi,count and a trailing mean row."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_lo", "bin_hi", "count"])
-        for i, c in enumerate(hist.counts):
-            w.writerow([f"{hist.bin_edges[i]:.1f}", f"{hist.bin_edges[i + 1]:.1f}", c])
-        w.writerow(["mean", "", f"{hist.mean_iou:.6f}"])
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(["bin_lo", "bin_hi", "count"])
+    for i, c in enumerate(hist.counts):
+        w.writerow([f"{hist.bin_edges[i]:.1f}", f"{hist.bin_edges[i + 1]:.1f}", c])
+    w.writerow(["mean", "", f"{hist.mean_iou:.6f}"])
+    atomic_write(path, buf.getvalue())

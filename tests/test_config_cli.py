@@ -208,6 +208,9 @@ class TestCliExitCodes:
         "synth.dim=8.5", "synth.n_train_videos=2.5", "synth.seed=1.5", "synth=5",
         "annotations_file=[1]", 'cotrain.gamma="0.5"', 'edit.iou_gate="0.5"', "seed=1.7",
         "cotrain.patience=true", "out_dir=5",
+        "synth.video_len_s=Infinity", "edit.seg_len_s=Infinity", "max_jitter_s=Infinity",
+        "train.learning_rate=NaN", "cotrain.gamma=-Infinity", "synth.gt_len_range=[1.0, NaN]",
+        "edit.iou_gate=1e400",
     ])
     def test_wrong_type_exits_2_naming_key(self, tmp_path, capsys, setting):
         cfg_path, out = tiny_cli_args(tmp_path)

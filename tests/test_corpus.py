@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from clipedit.corpus import (
     FeatureStore,
     SynthConfig,
     VideoRecord,
+    atomic_write,
     load_annotations,
     clip_features,
     clip_mean,
@@ -24,6 +26,9 @@ from clipedit.corpus import (
     write_feat_matrix,
     write_features,
 )
+from clipedit.editor import write_edits
+from clipedit.encoder import EncoderParams, save_checkpoint
+from clipedit.evalrep import RetrievalMetrics, iou_histogram, write_iou_hist, write_metrics
 from clipedit.timeline import Interval, segment_grid
 
 from conftest import make_store
@@ -432,3 +437,33 @@ class TestClipMean:
     def test_unknown_video(self, tiny_store):
         with pytest.raises(ValueError, match="unknown video_id"):
             clip_mean(tiny_store, ClipRef("vX", Interval(0.0, 2.0)))
+
+
+OUTPUT_WRITERS = {
+    "feat_matrix": lambda p: write_feat_matrix(p, np.ones((2, 3))),
+    "annotations": lambda p: write_annotations(p, []),
+    "checkpoint": lambda p: save_checkpoint(p, EncoderParams.identity(4)),
+    "edits": lambda p: write_edits(p, []),
+    "metrics": lambda p: write_metrics(p, RetrievalMetrics({1: 1.0, 5: 1.0, 10: 1.0}, 1.0, 1), "gt"),
+    "iou_hist": lambda p: write_iou_hist(p, iou_histogram([(Interval(0.0, 1.0), Interval(0.0, 2.0))])),
+    "atomic_write": lambda p: atomic_write(p, "value,r1\r\n"),
+}
+
+
+@pytest.mark.parametrize("write", OUTPUT_WRITERS.values(), ids=OUTPUT_WRITERS.keys())
+def test_failed_replace_keeps_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    path.write_bytes(b"old contents")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write(path)
+    assert path.read_bytes() == b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    write(path)  # and with a working os.replace the new file lands whole
+    assert path.read_bytes() != b"old contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -1,11 +1,13 @@
 import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipedit.corpus import ClipRef, FeatureStore, VideoRecord
+from clipedit import editor
+from clipedit.corpus import ClipRef, FeatureStore, VideoRecord, segment_features
 from clipedit.editor import (
     EditConfig,
     consensus_argmax,
@@ -14,11 +16,12 @@ from clipedit.editor import (
     edit_clip,
     edit_from_sims,
     enumerate_candidates,
+    segment_similarities,
     top_k_segments,
     write_edits,
 )
 from clipedit.encoder import EncoderParams
-from clipedit.timeline import Interval, segment_grid
+from clipedit.timeline import Interval, iou, segment_grid
 
 from oracles import consensus_ref, edit_ref, topk_ref
 
@@ -337,6 +340,94 @@ class TestEditAll:
         del store.caption_features["v0_c0"]
         with pytest.raises(ValueError, match="v0_c0"):
             edit_all(EncoderParams.identity(6), store, clips, EditConfig())
+
+
+def reference_edit(teacher, store, caption_id, ref, cfg):
+    """One caption edited with the public reference steps, one at a time."""
+    grid = segment_grid(ref.interval, cfg.seg_len_s)
+    if grid.n_segments < 2:
+        return ref.interval, False, grid.n_segments, (0,), None
+    seg_feats = segment_features(store, ref.video_id, grid)
+    sims = segment_similarities(teacher, seg_feats, store.caption_features[caption_id])
+    topk = top_k_segments(sims, cfg.k)
+    if len(topk) < 2:
+        return ref.interval, False, grid.n_segments, tuple(topk), None
+    cands = enumerate_candidates(topk, grid)
+    pair, edited = cands[consensus_argmax([iv for _, iv in cands])]
+    applied = iou(ref.interval, edited) >= cfg.iou_gate
+    return edited if applied else ref.interval, applied, grid.n_segments, tuple(topk), pair
+
+
+class TestBlockEditor:
+    @given(
+        seed=st.integers(min_value=0, max_value=100_000),
+        seg_len=st.sampled_from([0.5, 0.7, 1.0, 1.3]),
+        k=st.integers(min_value=1, max_value=14),
+        gate=st.sampled_from([0.0, 0.4, 0.8]),
+        per_block=st.sampled_from([1, 2, 3, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_steps(self, seed, seg_len, k, gate, per_block):
+        rng = np.random.default_rng(seed)
+        d = 6
+        # every row is one of three palette rows, so pooled segments repeat
+        # and their scores tie
+        palette = rng.standard_normal((3, d)).astype(np.float32)
+        store = FeatureStore()
+        store.videos["v"] = VideoRecord("v", 40.0, palette[rng.integers(0, 3, size=40)])
+        clips = {}
+        for c in range(7):
+            cid = f"c{c}"
+            store.caption_features[cid] = rng.standard_normal(d).astype(np.float32)
+            origin = float(rng.integers(0, 2500)) / 100.0  # fractional grid origins
+            length = float(rng.choice([0.3, rng.uniform(0.5, 2.5), rng.uniform(2.0, 14.0)]))
+            clips[cid] = ClipRef("v", Interval(origin, origin + length))
+        teacher = EncoderParams.init_random(d, rng=np.random.default_rng(seed + 1))
+        cfg = EditConfig(k=k, seg_len_s=seg_len, iou_gate=gate)
+        c = max(1, k * (k - 1) // 2)
+        budget = 8 * c * c * per_block if per_block else editor._IOU_BLOCK_BYTES
+        with patch.object(editor, "_IOU_BLOCK_BYTES", budget), \
+                patch.object(editor, "_decide", wraps=editor._decide) as decide:
+            new_clips, results = edit_all(teacher, store, clips, cfg)
+        assert decide.call_count == (-(-len(clips) // per_block) if per_block else 1)
+        for r in results:
+            want = reference_edit(teacher, store, r.caption_id, clips[r.caption_id], cfg)
+            got = (r.edited, r.applied, r.n_segments, r.topk_indices, r.winner_pair)
+            assert got == want
+            assert edit_clip(teacher, store, r.caption_id, clips[r.caption_id], cfg) == r
+            assert new_clips[r.caption_id] == ClipRef("v", r.edited)
+
+    def test_exact_tie_falls_back_to_consensus_argmax(self):
+        # all five unit segments kept: [0,4], [0,5] and [1,5] tie exactly,
+        # and the longer [0,5] wins the tie-break
+        with patch.object(editor, "consensus_argmax", wraps=consensus_argmax) as spy:
+            edited, applied, topk, pair = edit_from_sims(
+                np.zeros(5), unit_grid(5), Interval(0.0, 5.0), EditConfig(k=5)
+            )
+        assert spy.call_count == 1
+        assert (edited, applied, topk, pair) == (Interval(0.0, 5.0), True, (0, 1, 2, 3, 4), (0, 4))
+
+    def test_clear_winner_skips_consensus_argmax(self):
+        with patch.object(editor, "consensus_argmax", wraps=consensus_argmax) as spy:
+            res = edit_clip(
+                EncoderParams.identity(8), make_recovery_store(), "c1",
+                ClipRef("v1", Interval(0.0, 10.0)), EditConfig(k=4),
+            )
+        assert spy.call_count == 0
+        assert res.edited == Interval(3.0, 7.0) and res.winner_pair == (3, 6)
+
+    def test_more_scores_than_segments_raises_like_enumerate_candidates(self):
+        sims = np.array([0.0, 0.9, 0.2, 0.8, 0.7])  # Top-3 (1, 3, 4) on a 3-segment grid
+        with pytest.raises(IndexError, match=r"segment index 3 out of range \[0, 3\)"):
+            enumerate_candidates(top_k_segments(sims, 3), unit_grid(3))
+        with pytest.raises(IndexError, match=r"segment index 3 out of range \[0, 3\)"):
+            edit_from_sims(sims, unit_grid(3), Interval(0.0, 3.0), EditConfig(k=3))
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_nan_scores_keep_top_k_segments_order(self, k):
+        sims = np.array([0.2, np.nan, 0.9, np.nan, 0.1, 0.5])
+        _, _, topk, _ = edit_from_sims(sims, unit_grid(6), Interval(0.0, 6.0), EditConfig(k=k))
+        assert topk == tuple(top_k_segments(sims, k))
 
 
 class TestWriteEdits:
