@@ -206,6 +206,8 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
             for key in ("caption_id", "video_id", "timestamp", "split"):
                 if key not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field {key!r}")
@@ -215,7 +217,7 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
             if "gt_start" in obj:
                 try:
                     gt = Interval(float(obj["gt_start"]), float(obj["gt_end"]))
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:  # TypeError: a JSON null, list or object
                     raise ValueError(f"{path}:{lineno}: bad gt interval: {exc}") from exc
             try:
                 ann = CaptionAnnotation(
@@ -226,6 +228,8 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                     split=str(obj["split"]),
                     text=str(obj["text"]) if "text" in obj else None,
                 )
+            except TypeError as exc:  # only float() of the timestamp raises it
+                raise ValueError(f"{path}:{lineno}: timestamp must be a number: {exc}") from exc
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if ann.caption_id in line_of:

@@ -1,7 +1,7 @@
 """Dual-encoder: linear projections into a shared space, InfoNCE training.
 
 Clips and captions get separate projections (W_v, b_v) and (W_c, b_c);
-segment rows are projected then mean-pooled then L2-normalized, captions
+segment rows are mean-pooled then projected then L2-normalized, captions
 are projected then normalized. Similarity is the dot product of unit
 vectors. Training minimizes a symmetric InfoNCE over in-batch negatives
 with analytic gradients (no autodiff dependency).
@@ -163,7 +163,7 @@ def embed_clips(
     params: EncoderParams, pooled: Sequence[np.ndarray] | np.ndarray,
     ids: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Rows of `embed_clip(params, p[None])` for each pooled clip vector p.
+    """Rows of `embed_clip` for each pooled clip vector p as a one-row matrix.
 
     `ids`, one per row, name a degenerate row in the error.
     """
@@ -195,14 +195,18 @@ def info_nce(
     grads) with grads keyed W_v/b_v/W_c/b_c, or (loss, None) when
     with_grads is False. A batch of one pair has no negatives: loss 0.
     """
-    B = len(clip_batch)
     cap_feats = np.asarray(cap_batch)
-    if B < 1 or cap_feats.shape[0] != B:
-        raise ValueError(f"batch mismatch: {B} clips vs {cap_feats.shape[0]} captions")
+    if not 0 < len(clip_batch) == cap_feats.shape[0]:
+        raise ValueError(f"batch mismatch: {len(clip_batch)} clips vs {cap_feats.shape[0]} captions")
+    means = np.stack([np.asarray(sf).mean(axis=0) for sf in clip_batch])  # (B, d_in)
+    return _info_nce(params, means, cap_feats, with_grads)
+
+
+def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, with_grads: bool):
+    B = len(means)
     tau = params.tau
 
     # forward, keeping pre-normalization values for backprop
-    means = np.stack([np.asarray(sf).mean(axis=0) for sf in clip_batch])  # (B, d_in)
     pooled = means @ params.W_v.T + params.b_v  # (B, d_out)
     z_c = cap_feats @ params.W_c.T + params.b_c
     norm_v = np.maximum(np.linalg.norm(pooled, axis=1, keepdims=True), _EPS)
@@ -307,16 +311,15 @@ def train_epoch(
         return params, 0.0
     if optimizer is None:
         optimizer = make_optimizer(cfg)
+    pooled = np.stack([clip_mean(store, clips[cid]) for cid in caption_ids])
+    caps = np.stack([store.caption_features[cid] for cid in caption_ids])
     order = rng.permutation(len(caption_ids))
     losses = []
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
         if idx.size < 2:
             continue
-        batch_ids = [caption_ids[i] for i in idx]
-        clip_feats = [clip_mean(store, clips[cid])[None] for cid in batch_ids]
-        cap_feats = np.stack([store.caption_features[cid] for cid in batch_ids])
-        loss, grads = info_nce(params, clip_feats, cap_feats, with_grads=True)
+        loss, grads = _info_nce(params, pooled[idx], caps[idx], with_grads=True)
         optimizer.step(params, grads)
         losses.append(loss)
     return params, float(np.mean(losses)) if losses else 0.0

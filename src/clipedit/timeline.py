@@ -78,9 +78,6 @@ class SegmentGrid:
             return Interval(start, self.clip_end_s)
         return Interval(start, self.origin_s + (i + 1) * self.seg_len_s)
 
-    def span(self) -> Interval:
-        return Interval(self.origin_s, self.clip_end_s)
-
 
 def segment_grid(clip: Interval, seg_len_s: float = 1.0) -> SegmentGrid:
     """Tile `clip` into segments of `seg_len_s` seconds."""

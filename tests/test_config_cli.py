@@ -289,6 +289,26 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "annotations.jsonl:2:" in err and "annotations.jsonl:1" in err
 
+    @pytest.mark.parametrize("bad_line", [
+        "5", "null",
+        {"timestamp": None}, {"timestamp": [1]}, {"gt_start": None},
+    ], ids=["int", "null", "timestamp-null", "timestamp-list", "gt_start-null"])
+    def test_bad_annotation_line_exits_2(self, tmp_path, capsys, bad_line):
+        cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
+        assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0
+        ann_path = Path(corpus) / "annotations.jsonl"
+        lines = ann_path.read_text().splitlines()
+        if isinstance(bad_line, dict):
+            bad_line = json.dumps({**json.loads(lines[1]), **bad_line})
+        lines[1] = bad_line
+        ann_path.write_text("\n".join(lines) + "\n")
+        cfg = synth_dict(synth=None, features_dir=corpus, annotations_file=str(ann_path))
+        cfg2_path = write_cfg(tmp_path, cfg, "cfg2.json")
+        capsys.readouterr()
+        assert main(["warmup", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "annotations.jsonl:2:" in err and "Traceback" not in err
+
 
     def file_corpus_cfg(self, tmp_path, **over):
         cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clipedit.corpus import SynthConfig, synth_corpus
+from clipedit.corpus import SynthConfig, clip_features, synth_corpus
 from clipedit.cotrain import build_initial_assignment
 from clipedit.encoder import (
     AdamState,
@@ -281,6 +281,38 @@ class TestTrainEpoch:
         rng = np.random.default_rng(0)
         losses = [train_epoch(p, store, assign, cfg, rng, opt)[1] for _ in range(5)]
         assert all(b <= a for a, b in zip(losses, losses[1:])), losses
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("n_pairs", [12, 11])  # batches of 5, 5 and then 2 (kept) or 1 (dropped)
+    def test_matches_per_batch_clip_matrix_loop(self, dtype, optimizer, n_pairs):
+        store, assign = self._setup()
+        ids = sorted(assign)[:n_pairs]
+        sub = {cid: assign[cid] for cid in ids}
+        for cid in ids[1:4]:  # three more captions on the first caption's clip
+            sub[cid] = sub[ids[0]]
+        cfg = TrainConfig(batch_size=5, learning_rate=1e-2, optimizer=optimizer, seed=0)
+        p = random_params(np.random.default_rng(3), 16, dtype=dtype)
+        ref = p.copy()
+        opt, ref_opt = make_optimizer(cfg), make_optimizer(cfg)
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(3):
+            _, loss = train_epoch(p, store, sub, cfg, rng, opt)
+            order = ref_rng.permutation(len(ids))
+            losses = []
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = [ids[i] for i in order[lo:lo + cfg.batch_size]]
+                if len(batch) < 2:
+                    continue
+                clip_feats = [clip_features(store, sub[cid]) for cid in batch]
+                cap_feats = np.stack([store.caption_features[cid] for cid in batch])
+                batch_loss, grads = info_nce(ref, clip_feats, cap_feats)
+                ref_opt.step(ref, grads)
+                losses.append(batch_loss)
+            assert len(losses) == (3 if n_pairs == 12 else 2)
+            assert loss == float(np.mean(losses))
+            assert p.equals(ref)
+        assert not p.equals(random_params(np.random.default_rng(3), 16, dtype=dtype))
 
     def test_empty_assignment(self):
         store, _ = self._setup()
