@@ -22,6 +22,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -198,39 +199,44 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
     out: list[CaptionAnnotation] = []
     line_of: dict[str, int] = {}  # caption_id -> line
     first_at: dict[tuple[str, str, float], str] = {}  # (video_id, split, timestamp) -> caption_id
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
+                line = raw.decode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
             for key in ("caption_id", "video_id", "timestamp", "split"):
                 if key not in obj:
                     raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            gt = None
             if ("gt_start" in obj) != ("gt_end" in obj):
                 raise ValueError(f"{path}:{lineno}: gt_start/gt_end must come together")
-            if "gt_start" in obj:
-                try:
-                    gt = Interval(float(obj["gt_start"]), float(obj["gt_end"]))
-                except (TypeError, ValueError) as exc:  # TypeError: a JSON null, list or object
-                    raise ValueError(f"{path}:{lineno}: bad gt interval: {exc}") from exc
+            # one expression per kind, not a loop per field: this runs once per line
+            if not (isinstance(obj["caption_id"], str) and isinstance(obj["video_id"], str)
+                    and isinstance(obj["split"], str)):
+                key = next(k for k in ("caption_id", "video_id", "split") if not isinstance(obj[k], str))
+                raise ValueError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
+            # exact types: a bool is an int to isinstance
+            if type(obj["timestamp"]) not in (int, float) or "gt_start" in obj and (
+                    type(obj["gt_start"]) not in (int, float) or type(obj["gt_end"]) not in (int, float)):
+                key = next(k for k in ("timestamp", "gt_start", "gt_end")
+                           if k in obj and type(obj[k]) not in (int, float))
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, got {obj[key]!r}")
             try:
+                gt = Interval(float(obj["gt_start"]), float(obj["gt_end"])) if "gt_start" in obj else None
                 ann = CaptionAnnotation(
-                    caption_id=str(obj["caption_id"]),
-                    video_id=str(obj["video_id"]),
+                    caption_id=obj["caption_id"],
+                    video_id=obj["video_id"],
                     timestamp_s=float(obj["timestamp"]),
                     gt_interval=gt,
-                    split=str(obj["split"]),
+                    split=obj["split"],
                     text=str(obj["text"]) if "text" in obj else None,
                 )
-            except TypeError as exc:  # only float() of the timestamp raises it
-                raise ValueError(f"{path}:{lineno}: timestamp must be a number: {exc}") from exc
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if ann.caption_id in line_of:
                 raise ValueError(f"{path}:{lineno}: duplicate caption_id {ann.caption_id!r}")
@@ -323,9 +329,12 @@ def load_features(dir_path: str | Path) -> FeatureStore:
         if not matrix.shape[0]:
             raise ValueError(f"{path}: video has no feature rows")
         video_id = path.stem
-        store.videos[video_id] = VideoRecord(
-            video_id=video_id, duration_s=float(matrix.shape[0]), features=matrix
-        )
+        try:
+            store.videos[video_id] = VideoRecord(
+                video_id=video_id, duration_s=float(matrix.shape[0]), features=matrix
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     cap_path = dir_path / "captions.feat"
     if cap_path.exists():
         cap_matrix = read_feat_matrix(cap_path)
@@ -334,20 +343,38 @@ def load_features(dir_path: str | Path) -> FeatureStore:
             raise ValueError(f"{cap_path} present but {idx_path} missing")
         non_finite = ~np.isfinite(cap_matrix).all(axis=1)
         zero = ~cap_matrix.any(axis=1)
-        with idx_path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
+        line_of: dict[str, int] = {}  # caption_id -> line
+        with idx_path.open("rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
                     continue
                 try:
-                    obj = json.loads(line)
-                    cid, row = str(obj["caption_id"]), int(obj["row"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    obj = json.loads(raw.decode("utf-8"))
+                    cid, row = obj["caption_id"], obj["row"]
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise ValueError(f"{idx_path}:{lineno}: malformed index line: {exc}") from exc
+                if not isinstance(cid, str) or type(row) is not int:  # a bool is an int to isinstance
+                    raise ValueError(
+                        f"{idx_path}:{lineno}: malformed index line: caption_id must be a string "
+                        f"and row an integer, got {cid!r} and {row!r}"
+                    )
+                if cid in line_of:
+                    raise ValueError(
+                        f"{idx_path}:{lineno}: duplicate caption_id {cid!r}, first at "
+                        f"{idx_path}:{line_of[cid]}"
+                    )
+                line_of[cid] = lineno
                 if not 0 <= row < cap_matrix.shape[0]:
-                    raise ValueError(f"{idx_path}:{lineno}: row {row} out of range")
+                    raise ValueError(
+                        f"{idx_path}:{lineno}: row {row} out of range for the "
+                        f"{cap_matrix.shape[0]} rows of {cap_path}"
+                    )
                 if non_finite[row] or zero[row]:
                     what = "non-finite" if non_finite[row] else "zero-norm"
-                    raise ValueError(f"{idx_path}:{lineno}: caption {cid!r} has {what} features")
+                    raise ValueError(
+                        f"{idx_path}:{lineno}: caption {cid!r} has {what} features "
+                        f"(row {row} of {cap_path})"
+                    )
                 store.caption_features[cid] = cap_matrix[row]
     return store
 
@@ -458,11 +485,123 @@ def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation
 # --------------------------------------------------------------------------
 # segment pooling
 
+# Bytes of one pooling block's gathered feature rows, counted as each clip's
+# row span: about 1,000 clips of 8 rows at d=32. It bounds the memory
+# pooling adds to an eval or an edit.
+_POOL_BLOCK_BYTES = 1024 * 1024
 
-def _row_qualifies(r: int, start: float, end: float, duration: float) -> bool:
-    """Whether >= ROW_OVERLAP_MIN of row r's span overlaps [start, end)."""
-    row_end = min(r + 1.0, duration)
-    return min(row_end, end) - max(float(r), start) >= ROW_OVERLAP_MIN * (row_end - r)
+
+def _video(store: FeatureStore, video_id: str, start_s: float, end_s: float) -> VideoRecord:
+    """The video's record, checked to hold the span [start_s, end_s]."""
+    rec = store.videos.get(video_id)
+    if rec is None:
+        raise ValueError(f"unknown video_id {video_id!r}")
+    if start_s < -1e-9 or end_s > rec.duration_s + 1e-9:
+        raise ValueError(
+            f"grid [{start_s}, {end_s}] outside video {video_id} span [0, {rec.duration_s}]"
+        )
+    return rec
+
+
+def _qualifies(r: np.ndarray, start: np.ndarray, end: np.ndarray, duration: np.ndarray) -> np.ndarray:
+    """Whether >= ROW_OVERLAP_MIN of row r's span overlaps [start, end), elementwise."""
+    row_end = np.minimum(r + 1.0, duration)
+    return np.minimum(row_end, end) - np.maximum(r, start) >= ROW_OVERLAP_MIN * (row_end - r)
+
+
+def _mean_runs(X: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """`X[f:f + n].mean(axis=0)` for each run of `first`/`count` (n >= 1), bit for bit.
+
+    numpy's axis-0 sum starts from +0.0 and adds the rows in order when
+    d >= 2, so all runs are summed at once: longest first, step j adds row
+    j of every run at least j+1 long. numpy sums one column of 8 or more
+    rows pairwise, so at d = 1 those runs take `.mean` of their own view.
+    """
+    order = np.argsort(-count, kind="stable")
+    f, neg = first[order], -count[order]
+    acc = X[f] + 0.0
+    for j in range(1, -int(neg[0])):
+        live = int(np.searchsorted(neg, -j))  # runs longer than j
+        acc[:live] += X[f[:live] + j]
+    out = np.empty_like(acc)
+    # the divide of `.mean`: by an integer count, rounded back to X's dtype
+    out[order] = np.true_divide(acc, -neg[:, None], out=acc, casting="unsafe")
+    if X.shape[1] == 1:
+        for i in np.flatnonzero(count >= 8).tolist():
+            out[i] = X[first[i]:first[i] + count[i]].mean(axis=0)
+    return out
+
+
+def _pool_blocks(
+    recs: list[VideoRecord], origin: np.ndarray, clip_end: np.ndarray, n_seg: np.ndarray,
+    seg_len_s: float,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """`segment_features` for many clips, a block at a time.
+
+    Clip i is the grid (origin[i], seg_len_s, n_seg[i], clip_end[i]) over
+    recs[i]'s rows, already checked by `_video`. Each block holds the
+    clips lo:hi whose row spans fit `_POOL_BLOCK_BYTES` (at least one, all
+    of one dtype), and yields (lo, hi, segs, first): the block's segment
+    rows, clip after clip, and each clip's first row in `segs`.
+    """
+    spans = (np.ceil(clip_end) - np.floor(origin) + 1).tolist()
+    lo = 0
+    while lo < len(recs):
+        feats = recs[lo].features
+        budget = _POOL_BLOCK_BYTES // (feats.itemsize * feats.shape[1]) - spans[lo]
+        hi = lo + 1
+        while hi < len(recs) and spans[hi] <= budget and recs[hi].features.dtype == feats.dtype:
+            budget -= spans[hi]
+            hi += 1
+        segs, first = _pool_block(recs[lo:hi], origin[lo:hi], clip_end[lo:hi], n_seg[lo:hi], seg_len_s)
+        yield lo, hi, segs, first
+        lo = hi
+
+
+def _pool_block(
+    recs: list[VideoRecord], origin: np.ndarray, clip_end: np.ndarray, n_seg: np.ndarray,
+    seg_len_s: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    slot: dict[int, int] = {}
+    vid = np.array([slot.setdefault(id(rec), len(slot)) for rec in recs])
+    videos = list({id(rec): rec for rec in recs}.values())  # in slot order
+    first = np.cumsum(n_seg) - n_seg
+    clip = np.repeat(np.arange(len(recs)), n_seg)
+    i = np.arange(clip.size) - first[clip]
+    o = origin[clip]
+    # the same expressions as SegmentGrid.segment(i)
+    start = o + i * seg_len_s
+    end = np.where(i == n_seg[clip] - 1, clip_end[clip], o + (i + 1) * seg_len_s)
+    seg_vid = vid[clip]
+    n_rows = np.array([rec.features.shape[0] for rec in videos])[seg_vid]
+    duration = np.array([rec.duration_s for rec in videos])[seg_vid]
+    lo = np.maximum(0, np.floor(start).astype(np.int64))
+    hi = np.minimum(n_rows, np.ceil(end).astype(np.int64))
+    # rows strictly inside [start, end) always qualify, so only the two
+    # edge rows need the overlap test and the qualifying rows are [lo, hi)
+    lo += (lo < hi) & ~_qualifies(lo, start, end, duration)
+    hi -= (lo < hi) & ~_qualifies(hi - 1, start, end, duration)
+    count = hi - lo
+    for s in np.flatnonzero(count < 1).tolist():  # no row qualifies: the nearest row
+        center = (float(start[s]) + float(end[s])) / 2.0
+        lo[s] = min(range(int(n_rows[s])), key=lambda r: abs((r + 0.5) - center))
+        count[s] = 1
+    # gather every segment's rows, video by video, with one index per video
+    by_vid = np.argsort(seg_vid, kind="stable")
+    row0 = np.empty_like(count)
+    row0[by_vid] = np.cumsum(count[by_vid]) - count[by_vid]
+    rows = np.repeat(lo[by_vid] - row0[by_vid], count[by_vid]) + np.arange(int(count.sum()))
+    edges = np.concatenate([[0], np.cumsum(np.bincount(seg_vid, count, len(videos)))]).astype(np.int64)
+    feats = videos[0].features
+    gathered = np.empty((rows.size, feats.shape[1]), dtype=feats.dtype)
+    for rec, a, b in zip(videos, edges[:-1].tolist(), edges[1:].tolist()):
+        np.take(rec.features, rows[a:b], axis=0, out=gathered[a:b])
+    # a one-row segment is its row; a longer one is its rows' mean
+    segs = gathered[row0]
+    multi = np.flatnonzero(count > 1)
+    if multi.size:
+        segs[multi] = _mean_runs(gathered, row0[multi], count[multi])
+    return segs, first
 
 
 def segment_features(store: FeatureStore, video_id: str, grid) -> np.ndarray:
@@ -472,45 +611,44 @@ def segment_features(store: FeatureStore, video_id: str, grid) -> np.ndarray:
     segment no row qualifies for takes its nearest row, so every segment
     maps to at least one row.
     """
-    rec = store.videos.get(video_id)
-    if rec is None:
-        raise ValueError(f"unknown video_id {video_id!r}")
-    duration = rec.duration_s
-    n_rows = rec.features.shape[0]
-    if grid.origin_s < -1e-9 or grid.clip_end_s > duration + 1e-9:
-        raise ValueError(
-            f"grid [{grid.origin_s}, {grid.clip_end_s}] outside video "
-            f"{video_id} span [0, {duration}]"
-        )
-    feats = rec.features
-    out = np.empty((grid.n_segments, feats.shape[1]), dtype=feats.dtype)
-    last = grid.n_segments - 1
-    for i in range(grid.n_segments):
-        # the same expressions as grid.segment(i)
-        start = grid.origin_s + i * grid.seg_len_s
-        end = grid.clip_end_s if i == last else grid.origin_s + (i + 1) * grid.seg_len_s
-        lo = max(0, math.floor(start))
-        hi = min(n_rows, math.ceil(end))
-        # rows strictly inside [start, end) always qualify, so only the two
-        # edge rows need the overlap test and the qualifying rows are [lo, hi)
-        if lo < hi and not _row_qualifies(lo, start, end, duration):
-            lo += 1
-        if lo < hi and not _row_qualifies(hi - 1, start, end, duration):
-            hi -= 1
-        if hi - lo == 1:
-            out[i] = feats[lo]
-        elif lo < hi:
-            out[i] = feats[lo:hi].mean(axis=0)
-        else:
-            center = (start + end) / 2.0
-            nearest = min(range(n_rows), key=lambda r: abs((r + 0.5) - center))
-            out[i] = feats[nearest]
-    return out
+    rec = _video(store, video_id, grid.origin_s, grid.clip_end_s)
+    _, _, segs, _ = next(_pool_blocks(
+        [rec], np.array([grid.origin_s]), np.array([grid.clip_end_s]),
+        np.array([grid.n_segments]), grid.seg_len_s,
+    ))
+    return segs
 
 
 def clip_features(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
     """Segment-feature matrix for a clip on its default grid."""
     return segment_features(store, ref.video_id, segment_grid(ref.interval, seg_len_s))
+
+
+def _pooled(store: FeatureStore, refs: list[ClipRef], seg_len_s: float) -> list[np.ndarray]:
+    """The table rows of `refs`; the misses are pooled first, block by block."""
+    if not seg_len_s > 0:
+        raise ValueError(f"seg_len_s must be > 0, got {seg_len_s}")
+    tables, misses = [], {}
+    for ref in refs:
+        start, end = ref.interval.start_s, ref.interval.end_s
+        rec = _video(store, ref.video_id, start, end)
+        key = (start, end, seg_len_s)
+        if key not in rec.pooled:
+            misses[(ref.video_id, key)] = rec
+        tables.append((rec.pooled, key))
+    if misses:
+        recs = list(misses.values())
+        origin = np.array([key[0] for _, key in misses])
+        clip_end = np.array([key[1] for _, key in misses])
+        # segment_grid's segment count
+        n_seg = np.maximum(1, np.floor((clip_end - origin) / seg_len_s)).astype(np.int64)
+        keys = [key for _, key in misses]
+        for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, seg_len_s):
+            means = _mean_runs(segs, first, n_seg[lo:hi])
+            means.flags.writeable = False
+            for rec, key, row in zip(recs[lo:hi], keys[lo:hi], means):
+                rec.pooled[key] = row
+    return [table[key] for table, key in tables]
 
 
 def clip_mean(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
@@ -519,13 +657,11 @@ def clip_mean(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.n
     It does not depend on any weights, so it is computed once per distinct
     clip and kept on the video's record; the returned array is read-only.
     """
-    rec = store.videos.get(ref.video_id)
-    if rec is None:
-        raise ValueError(f"unknown video_id {ref.video_id!r}")
-    key = (ref.interval.start_s, ref.interval.end_s, seg_len_s)
-    pooled = rec.pooled.get(key)
-    if pooled is None:
-        pooled = clip_features(store, ref, seg_len_s).mean(axis=0)
-        pooled.flags.writeable = False
-        rec.pooled[key] = pooled
-    return pooled
+    return _pooled(store, [ref], seg_len_s)[0]
+
+
+def clip_means(store: FeatureStore, refs: list[ClipRef], seg_len_s: float = 1.0) -> np.ndarray:
+    """The `clip_mean` rows of `refs`, stacked; clips not yet in their
+    video's table are pooled together, a block of clips per array pass."""
+    rows = _pooled(store, refs, seg_len_s)
+    return np.stack(rows) if rows else np.empty((0, 0), dtype=np.float32)

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore, clip_mean
+from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore, clip_means
 from .editor import EditConfig, EditResult, edit_all
 from .encoder import (
     EncoderParams,
@@ -160,7 +160,7 @@ def select_control_set(
     """Captions whose clip-caption similarity strictly exceeds gamma, with
     their current boundaries frozen."""
     ids = sorted(clips)
-    U = embed_clips(params, [clip_mean(store, clips[cid]) for cid in ids], ids)
+    U = embed_clips(params, clip_means(store, [clips[cid] for cid in ids]), ids)
     V = embed_captions(params, [store.caption_features[cid] for cid in ids], ids)
     # the rows equal the one-item embeddings bit for bit; a dot of fresh
     # copies is the exact score a one-item `similarity` call gives

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, ClipRef, FeatureStore, atomic_write, segment_features
+from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, atomic_write
 from .encoder import EncoderParams, embed_caption
 from .timeline import Interval, SegmentGrid, iou, segment_grid
 
@@ -211,29 +211,45 @@ def edit_all(
     clips: ClipAssignment,
     cfg: EditConfig,
 ) -> tuple[ClipAssignment, list[EditResult]]:
-    """Edit every assigned clip; results ordered by caption_id. Each caption
-    is pooled and scored on its own (a clip of one segment is not pooled),
-    then `_decide` edits a block of them, sized by `_IOU_BLOCK_BYTES`."""
+    """Edit every assigned clip; results ordered by caption_id. The clips of
+    two or more segments are pooled a block at a time (`corpus._pool_blocks`)
+    and each caption is scored on its own rows of the block; then `_decide`
+    edits blocks of captions sized by `_IOU_BLOCK_BYTES`."""
     block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, cfg.k * (cfg.k - 1) // 2) ** 2))
     items = sorted(clips.items())
-    results: list[EditResult] = []
-    for lo in range(0, len(items), block):
-        grids, sims = [], []
-        for caption_id, ref in items[lo:lo + block]:
-            cap_feat = store.caption_features.get(caption_id)
-            if cap_feat is None:
-                raise ValueError(f"no caption features for {caption_id!r}")
+    grids, recs = [], []
+    for caption_id, ref in items:
+        if caption_id not in store.caption_features:
+            raise ValueError(f"no caption features for {caption_id!r}")
+        try:
+            grids.append(segment_grid(ref.interval, cfg.seg_len_s))
+            recs.append(_video(store, ref.video_id, ref.interval.start_s, ref.interval.end_s))
+        except ValueError as exc:
+            raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
+    sims = [np.zeros(1)] * len(items)  # a clip of one segment is not pooled
+    multi = [i for i, grid in enumerate(grids) if grid.n_segments >= 2]
+    for lo, hi, segs, first in _pool_blocks(
+        [recs[i] for i in multi],
+        np.array([grids[i].origin_s for i in multi]),
+        np.array([grids[i].clip_end_s for i in multi]),
+        np.array([grids[i].n_segments for i in multi], dtype=np.int64),
+        cfg.seg_len_s,
+    ):
+        for i, f in zip(multi[lo:hi], first.tolist()):
+            caption_id = items[i][0]
             try:
-                grids.append(segment_grid(ref.interval, cfg.seg_len_s))
-                sims.append(segment_similarities(
-                    teacher, segment_features(store, ref.video_id, grids[-1]), cap_feat
-                ) if grids[-1].n_segments >= 2 else np.zeros(1))
+                sims[i] = segment_similarities(
+                    teacher, segs[f:f + grids[i].n_segments], store.caption_features[caption_id]
+                )
             except ValueError as exc:
                 raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
-        decided = _decide(sims, grids, [ref.interval for _, ref in items[lo:lo + block]], cfg)
+    results: list[EditResult] = []
+    for lo in range(0, len(items), block):
+        decided = _decide(sims[lo:lo + block], grids[lo:lo + block],
+                          [ref.interval for _, ref in items[lo:lo + block]], cfg)
         results += [
             EditResult(caption_id, ref.interval, *d[:2], grid.n_segments, *d[2:])
-            for (caption_id, ref), grid, d in zip(items[lo:lo + block], grids, decided)
+            for (caption_id, ref), grid, d in zip(items[lo:lo + block], grids[lo:lo + block], decided)
         ]
     return {cid: ClipRef(ref.video_id, r.edited) for (cid, ref), r in zip(items, results)}, results
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_mean
+from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means
 
 CKPT_MAGIC = b"CFP1"
 
@@ -311,7 +311,7 @@ def train_epoch(
         return params, 0.0
     if optimizer is None:
         optimizer = make_optimizer(cfg)
-    pooled = np.stack([clip_mean(store, clips[cid]) for cid in caption_ids])
+    pooled = clip_means(store, [clips[cid] for cid in caption_ids])
     caps = np.stack([store.caption_features[cid] for cid in caption_ids])
     order = rng.permutation(len(caption_ids))
     losses = []

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_mean
+from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means
 from .encoder import EncoderParams, embed_captions, embed_clips
 from .timeline import Interval, iou
 
@@ -135,7 +135,7 @@ def evaluate_retrieval(
     for q in queries:
         if q not in gal_pos:
             raise ValueError(f"query {q!r} has no gallery clip")
-    U = embed_clips(params, [clip_mean(store, gallery[cid]) for cid in gallery_ids], gallery_ids)
+    U = embed_clips(params, clip_means(store, [gallery[cid] for cid in gallery_ids]), gallery_ids)
     V = embed_captions(params, [store.caption_features[q] for q in queries], queries)
     ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries])).tolist()
     return RetrievalMetrics(

@@ -289,11 +289,22 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "annotations.jsonl:2:" in err and "annotations.jsonl:1" in err
 
-    @pytest.mark.parametrize("bad_line", [
-        "5", "null",
-        {"timestamp": None}, {"timestamp": [1]}, {"gt_start": None},
-    ], ids=["int", "null", "timestamp-null", "timestamp-list", "gt_start-null"])
-    def test_bad_annotation_line_exits_2(self, tmp_path, capsys, bad_line):
+    @pytest.mark.parametrize("bad_line,what", [
+        ("5", "expected a JSON object"), ("null", "expected a JSON object"),
+        ({"timestamp": None}, "timestamp must be a number"),
+        ({"timestamp": [1]}, "timestamp must be a number"),
+        ({"gt_start": None}, "gt_start must be a number"),
+        ({"timestamp": True}, "timestamp must be a number"),
+        ({"timestamp": "3.5"}, "timestamp must be a number"),
+        ({"gt_start": "1.7"}, "gt_start must be a number"),
+        ({"gt_end": False}, "gt_end must be a number"),
+        ({"caption_id": None}, "caption_id must be a string"),
+        ({"video_id": 7}, "video_id must be a string"),
+        ({"split": ["train"]}, "split must be a string"),
+    ], ids=["int", "null", "timestamp-null", "timestamp-list", "gt_start-null",
+            "timestamp-bool", "timestamp-str", "gt_start-str", "gt_end-bool",
+            "caption_id-null", "video_id-int", "split-list"])
+    def test_bad_annotation_line_exits_2(self, tmp_path, capsys, bad_line, what):
         cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
         assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0
         ann_path = Path(corpus) / "annotations.jsonl"
@@ -307,7 +318,7 @@ class TestCliExitCodes:
         capsys.readouterr()
         assert main(["warmup", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "annotations.jsonl:2:" in err and "Traceback" not in err
+        assert "annotations.jsonl:2:" in err and what in err and "Traceback" not in err
 
 
     def file_corpus_cfg(self, tmp_path, **over):
@@ -350,6 +361,29 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 2
         assert victim["caption_id"] in err and "degenerate embedding" in err
+
+    def test_duplicate_caption_in_index_exits_2(self, tmp_path, capsys):
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        idx = corpus / "captions.idx"
+        lines = idx.read_text().splitlines()
+        dup = json.loads(lines[0])["caption_id"]
+        lines[3] = json.dumps({"caption_id": dup, "row": json.loads(lines[3])["row"]})
+        idx.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["warmup", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "captions.idx:4:" in err and "captions.idx:1" in err and dup in err
+
+    def test_non_finite_video_feat_exits_2_naming_file(self, tmp_path, capsys):
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        victim = sorted(p for p in corpus.glob("*.feat") if p.name != "captions.feat")[0]
+        rows = read_feat_matrix(victim)
+        rows[1, 2] = np.inf
+        write_feat_matrix(victim, rows)
+        capsys.readouterr()
+        assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"{victim}: video {victim.stem}: non-finite feature values" in err
 
     def test_empty_video_feat_exits_2_naming_file(self, tmp_path, capsys):
         corpus, cfg2_path = self.file_corpus_cfg(tmp_path)

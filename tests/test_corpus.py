@@ -1,11 +1,14 @@
+import contextlib
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from clipedit import corpus
 from clipedit.corpus import (
     ROW_OVERLAP_MIN,
     CaptionAnnotation,
@@ -17,6 +20,7 @@ from clipedit.corpus import (
     load_annotations,
     clip_features,
     clip_mean,
+    clip_means,
     load_features,
     read_feat_matrix,
     sample_timestamp,
@@ -26,7 +30,7 @@ from clipedit.corpus import (
     write_feat_matrix,
     write_features,
 )
-from clipedit.editor import write_edits
+from clipedit.editor import EditConfig, edit_all, write_edits
 from clipedit.encoder import EncoderParams, save_checkpoint
 from clipedit.evalrep import RetrievalMetrics, iou_histogram, write_iou_hist, write_metrics
 from clipedit.timeline import Interval, segment_grid
@@ -437,6 +441,142 @@ class TestClipMean:
     def test_unknown_video(self, tiny_store):
         with pytest.raises(ValueError, match="unknown video_id"):
             clip_mean(tiny_store, ClipRef("vX", Interval(0.0, 2.0)))
+
+
+@st.composite
+def block_cases(draw):
+    """(d, seed, videos as (rows, last row length), clips as (video, start, end),
+    seg_len_s, how many clips are pooled beforehand, block budget in rows or None)."""
+    d = draw(st.sampled_from([1, 2, 5]))
+    videos = draw(st.lists(
+        st.tuples(st.integers(1, 30), st.sampled_from([1.0, 0.25, 0.5, 0.6, 0.9])),
+        min_size=1, max_size=4,
+    ))
+    clips = []
+    for _ in range(draw(st.integers(1, 10))):
+        v = draw(st.integers(0, len(videos) - 1))
+        duration = videos[v][0] - 1 + videos[v][1]
+        step = draw(st.sampled_from([0.5, 0.01])) if duration >= 0.5 else 0.01
+        n_steps = int(duration / step)
+        a = draw(st.integers(0, n_steps - 1))
+        clips.append((v, a * step, draw(st.integers(a + 1, n_steps)) * step))
+    clips += draw(st.lists(st.sampled_from(clips), max_size=3))  # duplicate refs
+    seg_len = draw(st.sampled_from([0.3, 0.5, 1.0, 1.3, 2.0, 8.0, 9.5]))
+    budget = draw(st.sampled_from([None, 1, 12, 40]))
+    return (d, draw(st.integers(0, 2**32 - 1)), videos, clips, seg_len,
+            draw(st.integers(0, len(clips))), budget)
+
+
+def block_store(d, seed, videos):
+    rng = np.random.default_rng(seed)
+    store = FeatureStore()
+    for v, (n_rows, last_len) in enumerate(videos):
+        # mixed magnitudes, so a change in summation order shows in the bits
+        rows = rng.standard_normal((n_rows, d)) * 10.0 ** rng.integers(-3, 4, (n_rows, d))
+        store.videos[f"v{v}"] = VideoRecord(f"v{v}", n_rows - 1 + last_len, rows.astype(np.float32))
+    return store
+
+
+def budget_patch(budget, d):
+    """Pooling blocks of `budget` float32 rows of width d (1: one clip a block);
+    None keeps the module's budget."""
+    if budget is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(corpus, "_POOL_BLOCK_BYTES", 4 * d * budget)
+
+
+BLOCK_EXAMPLES = [
+    (1, 0, [(30, 1.0)], [(0, 0.0, 29.5), (0, 3.0, 14.0)], 1.0, 0, None),  # d=1, >= 8 segments
+    (1, 1, [(30, 0.5)], [(0, 0.0, 29.5), (0, 0.5, 20.0)], 8.0, 0, 1),    # d=1, >= 8 rows a segment
+    (2, 2, [(8, 1.0), (5, 0.25)], [(0, 7.0, 7.4), (1, 2.3, 2.6), (1, 0.5, 4.25)], 1.0, 1, 1),
+    (5, 3, [(12, 0.6), (3, 1.0)], [(0, 0.37, 11.6), (1, 0.0, 3.0), (0, 1.5, 7.5)], 1.3, 2, 12),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_cases())
+@example(BLOCK_EXAMPLES[0])
+@example(BLOCK_EXAMPLES[1])
+@example(BLOCK_EXAMPLES[2])
+@example(BLOCK_EXAMPLES[3])
+def test_clip_means_match_row_loop(case):
+    d, seed, videos, clips, seg_len, n_before, budget = case
+    store = block_store(d, seed, videos)
+    refs = [ClipRef(f"v{v}", Interval(a, b)) for v, a, b in clips]
+    expect = [
+        segment_features_ref(store, ref.video_id, segment_grid(ref.interval, seg_len)).mean(axis=0)
+        for ref in refs
+    ]
+    with budget_patch(budget, d):
+        for ref in refs[:n_before]:  # table hits for the block call
+            clip_mean(store, ref, seg_len)
+        got = clip_means(store, refs, seg_len)
+    assert got.shape == (len(refs), d) and got.dtype == np.float32
+    for ref, row, want in zip(refs, got, expect):
+        assert np.array_equal(row, want)
+        assert np.array_equal(clip_mean(store, ref, seg_len), want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_cases())
+@example(BLOCK_EXAMPLES[0])
+@example(BLOCK_EXAMPLES[1])
+@example(BLOCK_EXAMPLES[3])
+def test_edit_all_pools_like_row_loop(case):
+    d, seed, videos, clips, seg_len, _, budget = case
+    store = block_store(d, seed, videos)
+    assignment = {f"c{i:02d}": ClipRef(f"v{v}", Interval(a, b)) for i, (v, a, b) in enumerate(clips)}
+    for cid in assignment:
+        store.caption_features[cid] = np.ones(d, dtype=np.float32)
+    seen = []
+
+    def record(teacher, seg_feats, cap_feat):
+        seen.append(seg_feats.copy())
+        return np.zeros(seg_feats.shape[0])
+    with budget_patch(budget, d), mock.patch("clipedit.editor.segment_similarities", record):
+        edit_all(EncoderParams.identity(d), store, assignment, EditConfig(k=3, seg_len_s=seg_len))
+    grids = [(ref, segment_grid(ref.interval, seg_len)) for _, ref in sorted(assignment.items())]
+    expect = [segment_features_ref(store, ref.video_id, g) for ref, g in grids if g.n_segments >= 2]
+    assert len(seen) == len(expect)
+    for got, want in zip(seen, expect):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestBlockPoolingErrors:
+    STORE_ROWS = {"v1": np.arange(24, dtype=np.float32).reshape(8, 3)}
+
+    def test_unknown_video_and_outside_span_keep_their_messages(self):
+        store = make_store(self.STORE_ROWS)
+        good = ClipRef("v1", Interval(0.0, 4.0))
+        with pytest.raises(ValueError, match=r"^unknown video_id 'vX'$"):
+            clip_means(store, [good, ClipRef("vX", Interval(0.0, 2.0))])
+        with pytest.raises(ValueError, match=r"^grid \[5.0, 9.5\] outside video v1 span \[0, 8.0\]$"):
+            clip_means(store, [good, ClipRef("v1", Interval(5.0, 9.5))])
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_edit_all_names_the_first_failing_caption(self, budget):
+        store = make_store(self.STORE_ROWS)
+        clips = {
+            "c3": ClipRef("vX", Interval(0.0, 4.0)),
+            "c1": ClipRef("v1", Interval(0.0, 4.0)),
+            "c4": ClipRef("v1", Interval(6.0, 12.0)),
+            "c2": ClipRef("v1", Interval(5.0, 9.5)),
+        }
+        for cid in clips:
+            store.caption_features[cid] = np.ones(3, dtype=np.float32)
+        teacher, cfg = EncoderParams.identity(3), EditConfig(k=3)
+        with budget_patch(budget, 3):
+            with pytest.raises(ValueError, match=r"^editing caption 'c2': grid \[5.0, 9.5\] outside"):
+                edit_all(teacher, store, clips, cfg)
+            del clips["c2"]
+            with pytest.raises(ValueError, match=r"^editing caption 'c3': unknown video_id 'vX'$"):
+                edit_all(teacher, store, clips, cfg)
+
+    def test_edit_all_checks_one_segment_clips_too(self):
+        store = make_store(self.STORE_ROWS, {"c1": np.ones(3)})
+        with pytest.raises(ValueError, match=r"^editing caption 'c1': unknown video_id 'vX'$"):
+            edit_all(EncoderParams.identity(3), store, {"c1": ClipRef("vX", Interval(0.0, 1.5))},
+                     EditConfig(k=3))
 
 
 OUTPUT_WRITERS = {
