@@ -199,6 +199,10 @@ def cmd_cotrain(run: RunConfig, args) -> int:
 def cmd_eval(run: RunConfig, args) -> int:
     store, annotations = _load_corpus(run)
     params = load_checkpoint(args.checkpoint)
+    if params.d_in != store.dim:
+        raise ValueError(
+            f"{args.checkpoint}: checkpoint d_in={params.d_in} does not match the corpus's d={store.dim}"
+        )
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     metrics, mode = _eval_test_split(params, store, annotations, run.init_strategy)
@@ -227,7 +231,7 @@ def cmd_ablate(run: RunConfig, args) -> int:
         raise ConfigError("ablate needs at least one value")
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # no ablation axis changes the corpus: load it (and pool its clips) once
+    # no ablation axis changes the corpus: load it once
     corpus = _load_corpus(run)
     rows = []
     for value in values:

@@ -77,11 +77,6 @@ class VideoRecord:
     video_id: str
     duration_s: float
     features: np.ndarray  # (ceil(duration_s), d) float32
-    # clip_mean's table, keyed (start_s, end_s, seg_len_s); a replaced
-    # record drops it with it
-    pooled: dict[tuple[float, float, float], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if self.features.ndim != 2:
@@ -624,44 +619,22 @@ def clip_features(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> 
     return segment_features(store, ref.video_id, segment_grid(ref.interval, seg_len_s))
 
 
-def _pooled(store: FeatureStore, refs: list[ClipRef], seg_len_s: float) -> list[np.ndarray]:
-    """The table rows of `refs`; the misses are pooled first, block by block."""
-    if not seg_len_s > 0:
-        raise ValueError(f"seg_len_s must be > 0, got {seg_len_s}")
-    tables, misses = [], {}
-    for ref in refs:
-        start, end = ref.interval.start_s, ref.interval.end_s
-        rec = _video(store, ref.video_id, start, end)
-        key = (start, end, seg_len_s)
-        if key not in rec.pooled:
-            misses[(ref.video_id, key)] = rec
-        tables.append((rec.pooled, key))
-    if misses:
-        recs = list(misses.values())
-        origin = np.array([key[0] for _, key in misses])
-        clip_end = np.array([key[1] for _, key in misses])
-        # segment_grid's segment count
-        n_seg = np.maximum(1, np.floor((clip_end - origin) / seg_len_s)).astype(np.int64)
-        keys = [key for _, key in misses]
-        for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, seg_len_s):
-            means = _mean_runs(segs, first, n_seg[lo:hi])
-            means.flags.writeable = False
-            for rec, key, row in zip(recs[lo:hi], keys[lo:hi], means):
-                rec.pooled[key] = row
-    return [table[key] for table, key in tables]
-
-
 def clip_mean(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
-    """Mean of `clip_features` rows: the pooled vector `embed_clip` projects.
-
-    It does not depend on any weights, so it is computed once per distinct
-    clip and kept on the video's record; the returned array is read-only.
-    """
-    return _pooled(store, [ref], seg_len_s)[0]
+    """Mean of `clip_features` rows: the pooled vector `embed_clip` projects."""
+    return clip_means(store, [ref], seg_len_s)[0]
 
 
 def clip_means(store: FeatureStore, refs: list[ClipRef], seg_len_s: float = 1.0) -> np.ndarray:
-    """The `clip_mean` rows of `refs`, stacked; clips not yet in their
-    video's table are pooled together, a block of clips per array pass."""
-    rows = _pooled(store, refs, seg_len_s)
-    return np.stack(rows) if rows else np.empty((0, 0), dtype=np.float32)
+    """The `clip_mean` rows of `refs`, stacked, pooled a block of clips per array
+    pass; nothing is kept, so a caller that needs the rows again keeps them."""
+    if not seg_len_s > 0:
+        raise ValueError(f"seg_len_s must be > 0, got {seg_len_s}")
+    recs = [_video(store, ref.video_id, ref.interval.start_s, ref.interval.end_s) for ref in refs]
+    if not recs:
+        return np.empty((0, 0), dtype=np.float32)
+    origin = np.array([ref.interval.start_s for ref in refs])
+    clip_end = np.array([ref.interval.end_s for ref in refs])
+    # segment_grid's segment count
+    n_seg = np.maximum(1, np.floor((clip_end - origin) / seg_len_s)).astype(np.int64)
+    blocks = _pool_blocks(recs, origin, clip_end, n_seg, seg_len_s)
+    return np.concatenate([_mean_runs(segs, first, n_seg[lo:hi]) for lo, hi, segs, first in blocks])

@@ -21,13 +21,14 @@ from .editor import EditConfig, EditResult, edit_all
 from .encoder import (
     EncoderParams,
     TrainConfig,
+    _train_epoch,
+    _train_rows,
     embed_captions,
     embed_clips,
     make_optimizer,
     similarity,
-    train_epoch,
 )
-from .evalrep import evaluate_retrieval
+from .evalrep import _evaluate_pooled
 from .timeline import InitStrategy, initial_clip, jitter
 
 TEACHER_MODES = ("update", "frozen", "random", "self")
@@ -59,6 +60,8 @@ class CoTrainConfig:
 class ControlSet:
     caption_ids: tuple[str, ...]
     frozen_clips: ClipAssignment
+    # row i pools frozen_clips[caption_ids[i]]; the monitor ranks against it
+    pooled: np.ndarray = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.caption_ids:
@@ -149,8 +152,9 @@ def warmup(
     rng = np.random.default_rng(cfg.seed)
     params = EncoderParams.init_random(store.dim, rng=rng)
     optimizer = make_optimizer(cfg)
+    rows = _train_rows(store, assignment)
     for _ in range(cfg.epochs):
-        train_epoch(params, store, assignment, cfg, rng, optimizer)
+        _train_epoch(params, *rows, cfg, rng, optimizer)
     return params, assignment
 
 
@@ -160,22 +164,23 @@ def select_control_set(
     """Captions whose clip-caption similarity strictly exceeds gamma, with
     their current boundaries frozen."""
     ids = sorted(clips)
-    U = embed_clips(params, clip_means(store, [clips[cid] for cid in ids]), ids)
+    pooled = clip_means(store, [clips[cid] for cid in ids])
+    U = embed_clips(params, pooled, ids)
     V = embed_captions(params, [store.caption_features[cid] for cid in ids], ids)
     # the rows equal the one-item embeddings bit for bit; a dot of fresh
     # copies is the exact score a one-item `similarity` call gives
-    chosen = [cid for cid, u, v in zip(ids, U, V) if similarity(u.copy(), v.copy()) > gamma]
+    keep = [i for i, (u, v) in enumerate(zip(U, V)) if similarity(u.copy(), v.copy()) > gamma]
     return ControlSet(
-        caption_ids=tuple(chosen),
-        frozen_clips={cid: clips[cid] for cid in chosen},
+        caption_ids=tuple(ids[i] for i in keep),
+        frozen_clips={ids[i]: clips[ids[i]] for i in keep},
+        pooled=pooled[keep],
     )
 
 
 def monitor_metric(params: EncoderParams, store: FeatureStore, control: ControlSet) -> float:
     """R@1 of control captions against the control set's frozen clips."""
-    return evaluate_retrieval(
-        params, store, list(control.caption_ids), control.frozen_clips
-    ).r_at[1]
+    ids = list(control.caption_ids)
+    return _evaluate_pooled(params, store, ids, ids, control.pooled).r_at[1]
 
 
 def cotrain(
@@ -219,7 +224,8 @@ def cotrain(
         if edited_by is None or not editor_params.equals(edited_by):
             clips, last_edits = edit_all(editor_params, store, assignment, cfg.edit)
             edited_by = editor_params.copy()
-        _, train_loss = train_epoch(student, store, clips, cfg.train, rng, optimizer)
+            rows = _train_rows(store, clips)
+        _, train_loss = _train_epoch(student, *rows, cfg.train, rng, optimizer)
         monitor = monitor_metric(student, store, control)
         improved = monitor > best_monitor
         teacher_updated = False

@@ -13,6 +13,7 @@ b_c (d_out) as float32-LE.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,8 @@ class EncoderParams:
             raise ValueError("bias shapes must be (d_out,)")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not math.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau}")
         for name in ("W_v", "b_v", "W_c", "b_c"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in {name}")
@@ -306,14 +309,24 @@ def train_epoch(
     pair (no negative to contrast against). Pass `optimizer` to keep
     moment state across epochs. Returns (params, mean batch loss).
     """
-    caption_ids = sorted(clips)
-    if not caption_ids:
+    if not clips:
         return params, 0.0
-    if optimizer is None:
-        optimizer = make_optimizer(cfg)
-    pooled = clip_means(store, [clips[cid] for cid in caption_ids])
-    caps = np.stack([store.caption_features[cid] for cid in caption_ids])
-    order = rng.permutation(len(caption_ids))
+    return _train_epoch(params, *_train_rows(store, clips), cfg, rng, optimizer or make_optimizer(cfg))
+
+
+def _train_rows(store: FeatureStore, clips: ClipAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled clip rows and caption rows of `clips` by caption id; keep them while `clips` lives."""
+    ids = sorted(clips)
+    pooled = clip_means(store, [clips[cid] for cid in ids])
+    return pooled, np.stack([store.caption_features[cid] for cid in ids])
+
+
+def _train_epoch(
+    params: EncoderParams, pooled: np.ndarray, caps: np.ndarray, cfg: TrainConfig,
+    rng: np.random.Generator, optimizer: AdamState | SGDState,
+) -> tuple[EncoderParams, float]:
+    """`train_epoch` on `_train_rows`' matrices: each batch indexes them."""
+    order = rng.permutation(len(caps))
     losses = []
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]

@@ -130,12 +130,19 @@ def evaluate_retrieval(
     """
     if not queries:
         raise ValueError("no queries")
-    gallery_ids = sorted(gallery)
-    gal_pos = {cid: i for i, cid in enumerate(gallery_ids)}
     for q in queries:
-        if q not in gal_pos:
+        if q not in gallery:
             raise ValueError(f"query {q!r} has no gallery clip")
-    U = embed_clips(params, clip_means(store, [gallery[cid] for cid in gallery_ids]), gallery_ids)
+    gallery_ids = sorted(gallery)
+    pooled = clip_means(store, [gallery[cid] for cid in gallery_ids])
+    return _evaluate_pooled(params, store, queries, gallery_ids, pooled)
+
+
+def _evaluate_pooled(params: EncoderParams, store: FeatureStore, queries: list[str],
+                     gallery_ids: list[str], pooled: np.ndarray) -> RetrievalMetrics:
+    """`evaluate_retrieval` with row i of `pooled` the clip of the sorted gallery_ids[i]."""
+    gal_pos = {cid: i for i, cid in enumerate(gallery_ids)}
+    U = embed_clips(params, pooled, gallery_ids)
     V = embed_captions(params, [store.caption_features[q] for q in queries], queries)
     ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries])).tolist()
     return RetrievalMetrics(

@@ -397,7 +397,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("offset,patch,what", [
         (20, struct.pack("<f", np.nan), "non-finite values in W_v"),
         (12, struct.pack("<d", -1.0), "tau must be > 0"),
-    ], ids=["nan_weight", "negative_tau"])
+        (12, struct.pack("<d", np.inf), "tau must be finite, got inf"),
+    ], ids=["nan_weight", "negative_tau", "inf_tau"])
     def test_bad_checkpoint_value_exits_2_naming_file(self, tmp_path, capsys, offset, patch, what):
         cfg_path, out = tiny_cli_args(tmp_path)
         ckpt = tmp_path / "bad.cfp"
@@ -407,6 +408,16 @@ class TestCliExitCodes:
         ckpt.write_bytes(bytes(raw))
         assert main(["eval", "--config", cfg_path, "--out", out, "--checkpoint", str(ckpt)]) == 2
         assert f"{ckpt}: {what}" in capsys.readouterr().err
+
+    def test_checkpoint_dimension_mismatch_exits_2_naming_both(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)  # a d=8 corpus
+        ckpt = tmp_path / "wide.cfp"
+        save_checkpoint(ckpt, EncoderParams.identity(16))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--out", out, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ckpt}: checkpoint d_in=16 does not match the corpus's d=8" in err
+        assert "matmul" not in err
 
     def test_numeric_error_in_editor_exits_3(self, tmp_path, monkeypatch):
         def boom(*args):

@@ -421,8 +421,6 @@ class TestClipMean:
         ref = ClipRef("v1", Interval(1.5, 5.0))
         got = clip_mean(tiny_store, ref)
         assert np.array_equal(got, clip_features(tiny_store, ref).mean(axis=0))
-        assert clip_mean(tiny_store, ref) is got
-        assert not got.flags.writeable
 
     def test_seg_len_is_part_of_the_key(self, tiny_store):
         ref = ClipRef("v1", Interval(0.0, 5.0))
@@ -508,7 +506,7 @@ def test_clip_means_match_row_loop(case):
         for ref in refs
     ]
     with budget_patch(budget, d):
-        for ref in refs[:n_before]:  # table hits for the block call
+        for ref in refs[:n_before]:  # earlier calls leave no state behind
             clip_mean(store, ref, seg_len)
         got = clip_means(store, refs, seg_len)
     assert got.shape == (len(refs), d) and got.dtype == np.float32

@@ -1,3 +1,4 @@
+import copy
 import importlib
 
 import numpy as np
@@ -374,6 +375,78 @@ class TestReEditSkip:
         }[mode]
         assert len(calls) == expected
         assert all(not a.equals(b) for a, b in zip(calls, calls[1:]))
+
+
+def store_snapshot(store):
+    """Every VideoRecord attribute (arrays as dtype, shape and bytes) and every
+    caption feature's bytes."""
+    def plain(v):
+        return (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+    return (
+        {vid: {k: plain(v) for k, v in vars(rec).items()} for vid, rec in store.videos.items()},
+        {cid: plain(v) for cid, v in store.caption_features.items()},
+    )
+
+
+class TestPoolingOncePerClipSet:
+    def setup_method(self):
+        self.store, self.anns = small_corpus(noise=0.4, cap_noise=0.1, seed=5, n_train=10, n_test=2)
+
+    def cotrain_cfg(self, mode, max_epochs):
+        return CoTrainConfig(gamma=-1.0, patience=max_epochs, max_epochs=max_epochs,
+                             teacher_mode=mode, train=fast_train(epochs=3), edit=EditConfig(k=8))
+
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        """The module of each `clip_means` call made through encoder, cotrain or evalrep."""
+        calls = []
+        for name in ("encoder", "cotrain", "evalrep"):
+            module = importlib.import_module(f"clipedit.{name}")
+
+            def counting(store, refs, seg_len_s=1.0, _name=name, _real=module.clip_means):
+                calls.append(_name)
+                return _real(store, refs, seg_len_s)
+            monkeypatch.setattr(module, "clip_means", counting)
+        return calls
+
+    def test_store_is_not_mutated(self):
+        before = copy.deepcopy(self.store)
+        warm, assignment = warmup(self.store, self.anns, MID, fast_train(epochs=3))
+        res = cotrain(warm, assignment, self.store, self.cotrain_cfg("update", 4))
+        gallery = build_initial_assignment(self.store, self.anns, MID, split="test")
+        evaluate_retrieval(res.best_student, self.store, sorted(gallery), gallery)
+        assert store_snapshot(self.store) == store_snapshot(before)
+
+    def test_warmup_pools_once(self, pool_calls):
+        warmup(self.store, self.anns, MID, fast_train(epochs=4))
+        assert pool_calls == ["encoder"]
+
+    def test_frozen_teacher_pools_control_set_and_one_edit(self, pool_calls):
+        warm, assignment = warmup(self.store, self.anns, MID, fast_train(epochs=3))
+        pool_calls.clear()
+        res = cotrain(warm, assignment, self.store, self.cotrain_cfg("frozen", 3))
+        assert len(res.log) == 3
+        # select_control_set, then the one edit's clips; the monitor pools nothing
+        assert pool_calls == ["cotrain", "encoder"]
+
+    def test_updating_teacher_pools_once_per_edit(self, pool_calls, monkeypatch):
+        module = importlib.import_module("clipedit.cotrain")
+        edits = []
+
+        def counting_edit_all(*args):
+            edits.append(len(pool_calls))
+            return edit_all(*args)
+        monkeypatch.setattr(module, "edit_all", counting_edit_all)
+        warm, assignment = warmup(self.store, self.anns, MID, fast_train(epochs=3))
+        pool_calls.clear()
+        cotrain(warm, assignment, self.store, self.cotrain_cfg("update", 8))
+        assert len(edits) >= 2
+        assert pool_calls == ["cotrain"] + ["encoder"] * len(edits)
+
+    def test_evaluate_retrieval_pools_once(self, pool_calls):
+        gallery = build_initial_assignment(self.store, self.anns, MID, split="test")
+        evaluate_retrieval(EncoderParams.identity(16), self.store, sorted(gallery), gallery)
+        assert pool_calls == ["evalrep"]
 
 
 class TestApplyJitter:
