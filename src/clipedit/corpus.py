@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .timeline import Interval, segment_grid
+from .timeline import Interval, segment_bounds, segment_counts, segment_grid
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +36,12 @@ FEAT_MAGIC = b"CFV1"
 # is pooled into a segment when at least this fraction of the row's span
 # overlaps the segment.
 ROW_OVERLAP_MIN = 0.5
+
+
+def _qualifies(r: np.ndarray, start: np.ndarray, end: np.ndarray, duration: np.ndarray) -> np.ndarray:
+    """Whether >= ROW_OVERLAP_MIN of row r's span overlaps [start, end), elementwise."""
+    row_end = np.minimum(r + 1.0, duration)
+    return np.minimum(row_end, end) - np.maximum(r, start) >= ROW_OVERLAP_MIN * (row_end - r)
 
 
 @dataclass(frozen=True)
@@ -311,6 +317,7 @@ def load_features(dir_path: str | Path) -> FeatureStore:
     store = FeatureStore()
     dim: int | None = None
     dim_src: Path | None = None
+    cap_matrix: np.ndarray | None = None
     for path in feat_paths:
         matrix = read_feat_matrix(path)
         if dim is None:
@@ -320,6 +327,7 @@ def load_features(dir_path: str | Path) -> FeatureStore:
                 f"dimension mismatch: {dim_src} has d={dim} but {path} has d={matrix.shape[1]}"
             )
         if path.name == "captions.feat":
+            cap_matrix = matrix
             continue
         if not matrix.shape[0]:
             raise ValueError(f"{path}: video has no feature rows")
@@ -331,8 +339,7 @@ def load_features(dir_path: str | Path) -> FeatureStore:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
     cap_path = dir_path / "captions.feat"
-    if cap_path.exists():
-        cap_matrix = read_feat_matrix(cap_path)
+    if cap_matrix is not None:
         idx_path = dir_path / "captions.idx"
         if not idx_path.exists():
             raise ValueError(f"{cap_path} present but {idx_path} missing")
@@ -416,26 +423,15 @@ def _place_gt_intervals(cfg: SynthConfig, rng: np.random.Generator) -> list[Inte
     return out
 
 
-def _row_gt_overlap(row: int, row_end: float, gts: list[Interval]) -> int | None:
-    """Index of the gt owning feature row [row, row_end), or None."""
-    row_len = row_end - row
-    best, best_ov = None, 0.0
-    for j, gt in enumerate(gts):
-        ov = min(row_end, gt.end_s) - max(float(row), gt.start_s)
-        if ov > best_ov:
-            best, best_ov = j, ov
-    if best is not None and best_ov >= ROW_OVERLAP_MIN * row_len:
-        return best
-    return None
-
-
 def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation]]:
     """Generate a corpus with known ground-truth alignments.
 
     Each caption gets a unit latent direction; feature rows inside its gt
     interval are normalize(u + noise_sigma*g), background rows are
     normalize(g), and the caption feature is
-    normalize(u + caption_noise_sigma*g). Deterministic given cfg.seed.
+    normalize(u + caption_noise_sigma*g). A row is inside the first gt that
+    covers half of it (`_qualifies`); as gts are disjoint, two can only when
+    both cover exactly half. Deterministic given cfg.seed.
     """
     rng = np.random.default_rng(cfg.seed)
     store = FeatureStore()
@@ -446,15 +442,13 @@ def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation
             video_id = f"v_{split}_{v:04d}"
             gts = _place_gt_intervals(cfg, rng)
             latents = [_unit(rng.standard_normal(cfg.dim)) for _ in gts]
+            inside = _qualifies(np.arange(n_rows)[:, None], np.array([gt.start_s for gt in gts]),
+                                np.array([gt.end_s for gt in gts]), cfg.video_len_s)
+            owners = np.where(inside.any(axis=1), inside.argmax(axis=1), -1).tolist()
             feats = np.empty((n_rows, cfg.dim))
-            for row in range(n_rows):
-                row_end = min(row + 1.0, cfg.video_len_s)
-                owner = _row_gt_overlap(row, row_end, gts)
+            for row, owner in enumerate(owners):
                 g = rng.standard_normal(cfg.dim)
-                if owner is None:
-                    feats[row] = _unit(g)
-                else:
-                    feats[row] = _unit(latents[owner] + cfg.noise_sigma * g)
+                feats[row] = _unit(g) if owner < 0 else _unit(latents[owner] + cfg.noise_sigma * g)
             store.videos[video_id] = VideoRecord(
                 video_id=video_id,
                 duration_s=float(n_rows),
@@ -498,12 +492,6 @@ def _video(store: FeatureStore, video_id: str, start_s: float, end_s: float) -> 
     return rec
 
 
-def _qualifies(r: np.ndarray, start: np.ndarray, end: np.ndarray, duration: np.ndarray) -> np.ndarray:
-    """Whether >= ROW_OVERLAP_MIN of row r's span overlaps [start, end), elementwise."""
-    row_end = np.minimum(r + 1.0, duration)
-    return np.minimum(row_end, end) - np.maximum(r, start) >= ROW_OVERLAP_MIN * (row_end - r)
-
-
 def _mean_runs(X: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
     """`X[f:f + n].mean(axis=0)` for each run of `first`/`count` (n >= 1), bit for bit.
 
@@ -535,18 +523,19 @@ def _pool_blocks(
 
     Clip i is the grid (origin[i], seg_len_s, n_seg[i], clip_end[i]) over
     recs[i]'s rows, already checked by `_video`. Each block holds the
-    clips lo:hi whose row spans fit `_POOL_BLOCK_BYTES` (at least one, all
-    of one dtype), and yields (lo, hi, segs, first): the block's segment
+    clips lo:hi whose sizes fit `_POOL_BLOCK_BYTES` (at least one, all of
+    one dtype), a clip's size being the larger of its row span and its
+    segment count, and yields (lo, hi, segs, first): the block's segment
     rows, clip after clip, and each clip's first row in `segs`.
     """
-    spans = (np.ceil(clip_end) - np.floor(origin) + 1).tolist()
+    sizes = np.maximum(np.ceil(clip_end) - np.floor(origin) + 1, n_seg).tolist()
     lo = 0
     while lo < len(recs):
         feats = recs[lo].features
-        budget = _POOL_BLOCK_BYTES // (feats.itemsize * feats.shape[1]) - spans[lo]
+        budget = _POOL_BLOCK_BYTES // (feats.itemsize * feats.shape[1]) - sizes[lo]
         hi = lo + 1
-        while hi < len(recs) and spans[hi] <= budget and recs[hi].features.dtype == feats.dtype:
-            budget -= spans[hi]
+        while hi < len(recs) and sizes[hi] <= budget and recs[hi].features.dtype == feats.dtype:
+            budget -= sizes[hi]
             hi += 1
         segs, first = _pool_block(recs[lo:hi], origin[lo:hi], clip_end[lo:hi], n_seg[lo:hi], seg_len_s)
         yield lo, hi, segs, first
@@ -557,21 +546,16 @@ def _pool_block(
     recs: list[VideoRecord], origin: np.ndarray, clip_end: np.ndarray, n_seg: np.ndarray,
     seg_len_s: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    slot: dict[int, int] = {}
-    vid = np.array([slot.setdefault(id(rec), len(slot)) for rec in recs])
-    videos = list({id(rec): rec for rec in recs}.values())  # in slot order
+    """One block of `_pool_blocks`: every segment's qualifying rows [lo, hi)
+    as arrays, each clip's row range (the smallest lo to the largest hi over
+    its segments) gathered clip after clip, then the segment means."""
     first = np.cumsum(n_seg) - n_seg
     clip = np.repeat(np.arange(len(recs)), n_seg)
-    i = np.arange(clip.size) - first[clip]
-    o = origin[clip]
-    # the same expressions as SegmentGrid.segment(i)
-    start = o + i * seg_len_s
-    end = np.where(i == n_seg[clip] - 1, clip_end[clip], o + (i + 1) * seg_len_s)
-    seg_vid = vid[clip]
-    n_rows = np.array([rec.features.shape[0] for rec in videos])[seg_vid]
-    duration = np.array([rec.duration_s for rec in videos])[seg_vid]
+    start, end = segment_bounds(origin[clip], seg_len_s, n_seg[clip], clip_end[clip],
+                                np.arange(clip.size) - first[clip])
+    n_rows, duration = np.array([(rec.features.shape[0], rec.duration_s) for rec in recs])[clip].T
     lo = np.maximum(0, np.floor(start).astype(np.int64))
-    hi = np.minimum(n_rows, np.ceil(end).astype(np.int64))
+    hi = np.minimum(n_rows, np.ceil(end)).astype(np.int64)
     # rows strictly inside [start, end) always qualify, so only the two
     # edge rows need the overlap test and the qualifying rows are [lo, hi)
     lo += (lo < hi) & ~_qualifies(lo, start, end, duration)
@@ -581,16 +565,12 @@ def _pool_block(
         center = (float(start[s]) + float(end[s])) / 2.0
         lo[s] = min(range(int(n_rows[s])), key=lambda r: abs((r + 0.5) - center))
         count[s] = 1
-    # gather every segment's rows, video by video, with one index per video
-    by_vid = np.argsort(seg_vid, kind="stable")
-    row0 = np.empty_like(count)
-    row0[by_vid] = np.cumsum(count[by_vid]) - count[by_vid]
-    rows = np.repeat(lo[by_vid] - row0[by_vid], count[by_vid]) + np.arange(int(count.sum()))
-    edges = np.concatenate([[0], np.cumsum(np.bincount(seg_vid, count, len(videos)))]).astype(np.int64)
-    feats = videos[0].features
-    gathered = np.empty((rows.size, feats.shape[1]), dtype=feats.dtype)
-    for rec, a, b in zip(videos, edges[:-1].tolist(), edges[1:].tolist()):
-        np.take(rec.features, rows[a:b], axis=0, out=gathered[a:b])
+    clip_lo = np.minimum.reduceat(lo, first)
+    clip_hi = np.maximum.reduceat(lo + count, first)
+    offset = np.cumsum(clip_hi - clip_lo) - (clip_hi - clip_lo) - clip_lo
+    gathered = np.concatenate([rec.features[a:b] for rec, a, b in
+                               zip(recs, clip_lo.tolist(), clip_hi.tolist())])
+    row0 = lo + offset[clip]
     # a one-row segment is its row; a longer one is its rows' mean
     segs = gathered[row0]
     multi = np.flatnonzero(count > 1)
@@ -627,14 +607,11 @@ def clip_mean(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.n
 def clip_means(store: FeatureStore, refs: list[ClipRef], seg_len_s: float = 1.0) -> np.ndarray:
     """The `clip_mean` rows of `refs`, stacked, pooled a block of clips per array
     pass; nothing is kept, so a caller that needs the rows again keeps them."""
-    if not seg_len_s > 0:
-        raise ValueError(f"seg_len_s must be > 0, got {seg_len_s}")
+    origin = np.array([ref.interval.start_s for ref in refs])
+    clip_end = np.array([ref.interval.end_s for ref in refs])
+    n_seg = segment_counts(clip_end - origin, seg_len_s)
     recs = [_video(store, ref.video_id, ref.interval.start_s, ref.interval.end_s) for ref in refs]
     if not recs:
         return np.empty((0, 0), dtype=np.float32)
-    origin = np.array([ref.interval.start_s for ref in refs])
-    clip_end = np.array([ref.interval.end_s for ref in refs])
-    # segment_grid's segment count
-    n_seg = np.maximum(1, np.floor((clip_end - origin) / seg_len_s)).astype(np.int64)
     blocks = _pool_blocks(recs, origin, clip_end, n_seg, seg_len_s)
     return np.concatenate([_mean_runs(segs, first, n_seg[lo:hi]) for lo, hi, segs, first in blocks])

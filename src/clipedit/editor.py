@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, atomic_write
 from .encoder import EncoderParams, embed_caption
-from .timeline import Interval, SegmentGrid, iou, segment_grid
+from .timeline import Interval, SegmentGrid, check_seg_len, ious, segment_bounds, segment_counts
 
 # Bytes of one block's (B, C, C) float64 consensus IoU tensor: 32 captions
 # at k=10 (C = 45 candidates). It bounds the memory consensus adds to an edit.
@@ -37,8 +37,7 @@ class EditConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 <= self.iou_gate <= 1.0:
             raise ValueError(f"iou_gate must be in [0,1], got {self.iou_gate}")
-        if not self.seg_len_s > 0:
-            raise ValueError(f"seg_len_s must be > 0, got {self.seg_len_s}")
+        check_seg_len(self.seg_len_s)
 
 
 @dataclass(frozen=True)
@@ -80,18 +79,16 @@ def consensus_argmax(candidates: list[Interval]) -> int:
     """Index of the candidate maximizing Σ_k IoU(cand_j, cand_k).
 
     The self term (a constant +1) is included. Ties break toward the
-    longer interval, then the earlier start. The C×C IoU matrix repeats
-    `timeline.iou`'s expression elementwise, so mathematically tied
-    candidates score bit-equal and the tie-breaks fire.
+    longer interval, then the earlier start. The C×C IoU matrix comes from
+    `timeline.ious`, so mathematically tied candidates score bit-equal and
+    the tie-breaks fire.
     """
     if not candidates:
         raise ValueError("consensus over empty candidate list")
     starts = np.array([c.start_s for c in candidates])
     ends = np.array([c.end_s for c in candidates])
     lengths = ends - starts
-    inter = np.minimum.outer(ends, ends) - np.maximum.outer(starts, starts)
-    union = np.add.outer(lengths, lengths) - inter
-    matrix = np.where(inter > 0.0, inter / union, 0.0)
+    matrix = ious(starts[:, None], ends[:, None], starts, ends)
     keys = [
         (math.fsum(row), length, -start)
         for row, length, start in zip(matrix.tolist(), lengths.tolist(), starts.tolist())
@@ -130,17 +127,18 @@ def _lead_bound(c: int) -> float:
 
 
 def _decide(
-    sims_rows: list[np.ndarray], grids: list[SegmentGrid], initials: list[Interval],
-    cfg: EditConfig,
+    sims_rows: list[np.ndarray], origin: np.ndarray, seg_len_s: float, n_seg: np.ndarray,
+    clip_end: np.ndarray, initials: list[Interval], cfg: EditConfig,
 ) -> list[tuple[Interval, bool, tuple[int, ...], tuple[int, int] | None]]:
     """`edit_from_sims` for a block of rows, done as arrays over the block.
 
+    Row i's grid is (origin[i], seg_len_s, n_seg[i], clip_end[i]).
     NaN-padded negated scores sort stably behind every real score, NaN
     included, so a row's first min(k, n) columns are `top_k_segments`'.
-    `np.triu_indices` pairs them in `enumerate_candidates`' order, with
-    `SegmentGrid.segment`'s float expressions. A row whose best `np.sum`
-    consensus key leads every other by more than `_lead_bound` keeps that
-    winner; any other row (a near or exact tie) runs `consensus_argmax`.
+    `np.triu_indices` pairs them in `enumerate_candidates`' order, bounded
+    by `segment_bounds`. A row whose best `np.sum` of `ious` leads every
+    other by more than `_lead_bound` keeps that winner; any other row (a
+    near or exact tie) runs `consensus_argmax` on its own candidates.
     """
     m = np.minimum([s.size for s in sims_rows], cfg.k)
     k = max(2, int(m.max()))
@@ -152,32 +150,27 @@ def _decide(
     ia, ib = np.triu_indices(k, 1)
     a, b = topk[:, ia], topk[:, ib]
     valid = ib < m[:, None]
-    origin, seg_len, last, clip_end = (np.array(v)[:, None] for v in zip(*(
-        (g.origin_s, g.seg_len_s, g.n_segments - 1, g.clip_end_s) for g in grids)))
+    grid = origin[:, None], seg_len_s, n_seg[:, None], clip_end[:, None]
     # a padding candidate is [-2, -1): it overlaps no clip, so it adds exact zeros
-    starts = np.where(valid, origin + a * seg_len, -2.0)
-    ends = np.where(valid, np.where(b == last, clip_end, origin + (b + 1) * seg_len), -1.0)
-    lengths = ends - starts
-    inter = (np.minimum(ends[:, :, None], ends[:, None, :])
-             - np.maximum(starts[:, :, None], starts[:, None, :]))
-    union = (lengths[:, :, None] + lengths[:, None, :]) - inter
-    keys = np.where(valid, np.sum(np.maximum(inter, 0.0) / union, axis=2), -np.inf)
+    starts = np.where(valid, segment_bounds(*grid, a)[0], -2.0)
+    ends = np.where(valid, segment_bounds(*grid, b)[1], -1.0)
+    keys = np.where(valid, np.sum(ious(starts[:, :, None], ends[:, :, None], starts[:, None, :],
+                                       ends[:, None, :]), axis=2), -np.inf)
     sure = np.sum(keys + _lead_bound(len(ia)) >= keys.max(axis=1)[:, None], axis=1) == 1
-    out = []
-    for i, (top, mi, ok, j) in enumerate(
-            zip(topk.tolist(), m.tolist(), sure.tolist(), keys.argmax(axis=1).tolist())):
-        if mi < 2:
-            out.append((initials[i], False, tuple(top[:mi]), None))
-            continue
-        if top[mi - 1] >= grids[i].n_segments:  # more scores than segments: the reference's error
-            grids[i].segment(next(t for t in top if t >= grids[i].n_segments))
-        pair, edited = (int(a[i, j]), int(b[i, j])), Interval(float(starts[i, j]), float(ends[i, j]))
-        if not ok:  # a near or exact tie: the reference path decides
-            cands = enumerate_candidates(top[:mi], grids[i])
-            pair, edited = cands[consensus_argmax([iv for _, iv in cands])]
-        applied = iou(initials[i], edited) >= cfg.iou_gate
-        out.append((edited if applied else initials[i], applied, tuple(top[:mi]), pair))
-    return out
+    win = keys.argmax(axis=1)
+    for i in np.flatnonzero(~sure & (m >= 2)).tolist():  # a near or exact tie
+        cols = np.flatnonzero(valid[i])
+        cands = [Interval(s, e) for s, e in zip(starts[i, cols].tolist(), ends[i, cols].tolist())]
+        win[i] = cols[consensus_argmax(cands)]
+    rows = np.arange(len(win))
+    starts, ends, a, b = starts[rows, win], ends[rows, win], a[rows, win], b[rows, win]
+    init = np.array([(iv.start_s, iv.end_s) for iv in initials])
+    applied = (ious(init[:, 0], init[:, 1], starts, ends) >= cfg.iou_gate) & (m >= 2)
+    return [
+        (Interval(s, e) if ok else iv, ok, tuple(top[:mi]), (p, q) if mi >= 2 else None)
+        for iv, s, e, p, q, top, mi, ok in zip(initials, starts.tolist(), ends.tolist(), a.tolist(),
+                                               b.tolist(), topk.tolist(), m.tolist(), applied.tolist())
+    ]
 
 
 def edit_from_sims(
@@ -190,7 +183,11 @@ def edit_from_sims(
     sims = np.asarray(sims)
     if sims.ndim != 1 or sims.size == 0:
         raise ValueError("sims must be a non-empty 1-D vector")
-    return _decide([sims], [grid], [initial], cfg)[0]
+    top = top_k_segments(sims, cfg.k)
+    if len(top) >= 2 and top[-1] >= grid.n_segments:  # more scores than segments
+        grid.segment(next(t for t in top if t >= grid.n_segments))  # enumerate_candidates' error
+    return _decide([sims], np.array([grid.origin_s]), grid.seg_len_s, np.array([grid.n_segments]),
+                   np.array([grid.clip_end_s]), [initial], cfg)[0]
 
 
 def edit_clip(
@@ -217,39 +214,36 @@ def edit_all(
     edits blocks of captions sized by `_IOU_BLOCK_BYTES`."""
     block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, cfg.k * (cfg.k - 1) // 2) ** 2))
     items = sorted(clips.items())
-    grids, recs = [], []
+    recs = []
     for caption_id, ref in items:
         if caption_id not in store.caption_features:
             raise ValueError(f"no caption features for {caption_id!r}")
         try:
-            grids.append(segment_grid(ref.interval, cfg.seg_len_s))
             recs.append(_video(store, ref.video_id, ref.interval.start_s, ref.interval.end_s))
         except ValueError as exc:
             raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
+    initials = [ref.interval for _, ref in items]
+    origin, clip_end = np.array([(iv.start_s, iv.end_s) for iv in initials]).reshape(-1, 2).T
+    n_seg = segment_counts(clip_end - origin, cfg.seg_len_s)
     sims = [np.zeros(1)] * len(items)  # a clip of one segment is not pooled
-    multi = [i for i, grid in enumerate(grids) if grid.n_segments >= 2]
+    multi = np.flatnonzero(n_seg >= 2)
     for lo, hi, segs, first in _pool_blocks(
-        [recs[i] for i in multi],
-        np.array([grids[i].origin_s for i in multi]),
-        np.array([grids[i].clip_end_s for i in multi]),
-        np.array([grids[i].n_segments for i in multi], dtype=np.int64),
-        cfg.seg_len_s,
+        [recs[i] for i in multi.tolist()], origin[multi], clip_end[multi], n_seg[multi], cfg.seg_len_s
     ):
-        for i, f in zip(multi[lo:hi], first.tolist()):
+        for i, f, n in zip(multi[lo:hi].tolist(), first.tolist(), n_seg[multi[lo:hi]].tolist()):
             caption_id = items[i][0]
             try:
-                sims[i] = segment_similarities(
-                    teacher, segs[f:f + grids[i].n_segments], store.caption_features[caption_id]
-                )
+                sims[i] = segment_similarities(teacher, segs[f:f + n], store.caption_features[caption_id])
             except ValueError as exc:
                 raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
     results: list[EditResult] = []
     for lo in range(0, len(items), block):
-        decided = _decide(sims[lo:lo + block], grids[lo:lo + block],
-                          [ref.interval for _, ref in items[lo:lo + block]], cfg)
+        hi = lo + block
+        decided = _decide(sims[lo:hi], origin[lo:hi], cfg.seg_len_s, n_seg[lo:hi], clip_end[lo:hi],
+                          initials[lo:hi], cfg)
         results += [
-            EditResult(caption_id, ref.interval, *d[:2], grid.n_segments, *d[2:])
-            for (caption_id, ref), grid, d in zip(items[lo:lo + block], grids[lo:lo + block], decided)
+            EditResult(caption_id, ref.interval, *d[:2], n, *d[2:])
+            for (caption_id, ref), n, d in zip(items[lo:hi], n_seg[lo:hi].tolist(), decided)
         ]
     return {cid: ClipRef(ref.video_id, r.edited) for (cid, ref), r in zip(items, results)}, results
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means
 from .encoder import EncoderParams, embed_captions, embed_clips
-from .timeline import Interval, iou
+from .timeline import Interval, ious
 
 R_AT_KS = (1, 5, 10)
 
@@ -156,7 +156,7 @@ def iou_histogram(pairs: list[tuple[Interval, Interval]]) -> IoUHistogram:
     """10 uniform bins over [0,1]; an IoU of exactly 1.0 joins the last bin."""
     if not pairs:
         raise ValueError("histogram over empty pair list")
-    values = np.array([iou(a, b) for a, b in pairs])
+    values = ious(*np.array([(a.start_s, a.end_s, b.start_s, b.end_s) for a, b in pairs]).T)
     edges = np.linspace(0.0, 1.0, 11)
     counts, _ = np.histogram(values, bins=edges)
     return IoUHistogram(

@@ -4,12 +4,18 @@ All quantities are real-valued seconds. A clip is a half-open span
 [start_s, end_s); a segment grid tiles a clip into fixed-length pieces
 whose last element absorbs any fractional remainder, so the union of the
 segments is always exactly the clip.
+
+IoU, segment counts and segment bounds are each written once, as the
+broadcasting `ious`, `segment_counts` and `segment_bounds`; every scalar
+and block path calls them, so all paths agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 VARIANTS = (
     "midpoint_neighbors",
@@ -18,6 +24,11 @@ VARIANTS = (
     "full_neighbors",
     "fixed_half_width",
 )
+
+
+# The shortest segment length a grid accepts: it bounds a clip's segments,
+# and the memory pooling and editing give them, at 100 per second.
+SEG_LEN_MIN_S = 0.01
 
 
 class DegenerateClipError(ValueError):
@@ -47,13 +58,40 @@ class Interval:
         return self.start_s <= t <= self.end_s
 
 
+def ious(a_start, a_end, b_start, b_end) -> np.ndarray:
+    """`iou` of [a_start, a_end) and [b_start, b_end), elementwise over
+    broadcasting arrays of bounds; 0 where the two are disjoint."""
+    inter = np.minimum(a_end, b_end) - np.maximum(a_start, b_start)
+    union = ((a_end - a_start) + (b_end - b_start)) - inter
+    return np.where(inter > 0.0, inter / union, 0.0)
+
+
 def iou(a: Interval, b: Interval) -> float:
     """Temporal intersection-over-union of two intervals; 0 when disjoint."""
-    inter = min(a.end_s, b.end_s) - max(a.start_s, b.start_s)
-    if inter <= 0.0:
-        return 0.0
-    union = (a.length_s + b.length_s) - inter
-    return inter / union
+    return float(ious(a.start_s, a.end_s, b.start_s, b.end_s))
+
+
+def check_seg_len(seg_len_s: float) -> None:
+    """Reject a segment length that is not positive or below SEG_LEN_MIN_S."""
+    if not seg_len_s > 0:
+        raise ValueError(f"seg_len_s must be > 0, got {seg_len_s}")
+    if seg_len_s < SEG_LEN_MIN_S:
+        raise ValueError(f"seg_len_s must be >= {SEG_LEN_MIN_S}, got {seg_len_s}")
+
+
+def segment_counts(length, seg_len_s: float) -> np.ndarray:
+    """Segments in a grid over clips of `length` seconds, elementwise as int64:
+    whole segments of `seg_len_s`, at least one."""
+    check_seg_len(seg_len_s)
+    return np.maximum(1, np.floor(length / seg_len_s)).astype(np.int64)
+
+
+def segment_bounds(origin, seg_len, n_segments, clip_end, i) -> tuple[np.ndarray, np.ndarray]:
+    """[start, end) of segment i of the grid (origin, seg_len, n_segments,
+    clip_end), elementwise over broadcasting arrays; the last segment ends
+    at clip_end."""
+    start = origin + i * seg_len
+    return start, np.where(i == n_segments - 1, clip_end, origin + (i + 1) * seg_len)
 
 
 @dataclass(frozen=True)
@@ -73,20 +111,13 @@ class SegmentGrid:
     def segment(self, i: int) -> Interval:
         if not 0 <= i < self.n_segments:
             raise IndexError(f"segment index {i} out of range [0, {self.n_segments})")
-        start = self.origin_s + i * self.seg_len_s
-        if i == self.n_segments - 1:
-            return Interval(start, self.clip_end_s)
-        return Interval(start, self.origin_s + (i + 1) * self.seg_len_s)
+        start, end = segment_bounds(self.origin_s, self.seg_len_s, self.n_segments, self.clip_end_s, i)
+        return Interval(float(start), float(end))
 
 
 def segment_grid(clip: Interval, seg_len_s: float = 1.0) -> SegmentGrid:
     """Tile `clip` into segments of `seg_len_s` seconds."""
-    if not seg_len_s > 0:
-        raise ValueError(f"seg_len_s must be > 0, got {seg_len_s}")
-    n = max(1, math.floor(clip.length_s / seg_len_s))
-    return SegmentGrid(
-        origin_s=clip.start_s, seg_len_s=seg_len_s, n_segments=n, clip_end_s=clip.end_s
-    )
+    return SegmentGrid(clip.start_s, seg_len_s, int(segment_counts(clip.length_s, seg_len_s)), clip.end_s)
 
 
 @dataclass(frozen=True)

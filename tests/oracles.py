@@ -36,6 +36,15 @@ def grid_segments_ref(start: float, end: float, seg_len: float) -> list[tuple[fl
     return segs
 
 
+def row_owner_ref(row: int, row_end: float, gts: list[tuple[float, float]]) -> int | None:
+    """Index of the first gt covering at least half of feature row
+    [row, row_end), or None when no gt does."""
+    for j, (lo, hi) in enumerate(gts):
+        if min(row_end, hi) - max(float(row), lo) >= 0.5 * (row_end - row):
+            return j
+    return None
+
+
 # ------------------------------------------------------------------ editing
 
 def topk_ref(sims, k: int) -> list[int]:

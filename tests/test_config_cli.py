@@ -219,6 +219,15 @@ class TestCliExitCodes:
         assert err.startswith(f"config error: {setting.partition('=')[0]} must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["1e-300", "0.005"])
+    def test_seg_len_below_floor_exits_2(self, tmp_path, capsys, value):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out,
+                     "--set", f"edit.seg_len_s={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: seg_len_s must be >= 0.01, got {float(value)}")
+        assert "Traceback" not in err
+
     def test_ablate_wrong_type_exits_2_naming_key(self, tmp_path, capsys):
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["ablate", "--config", cfg_path, "--out", out,

@@ -36,6 +36,7 @@ from clipedit.evalrep import RetrievalMetrics, iou_histogram, write_iou_hist, wr
 from clipedit.timeline import Interval, segment_grid
 
 from conftest import make_store
+from oracles import row_owner_ref
 
 
 class TestAnnotations:
@@ -195,6 +196,21 @@ class TestFeatureFiles:
         with pytest.raises(ValueError, match="no feature files found"):
             load_features(tmp_path)
 
+    def test_each_file_is_read_once(self, tmp_path):
+        store, _ = synth_corpus(TestSynthCorpus.CFG)
+        write_features(tmp_path, store)
+        reads = []
+
+        def counting(path):
+            reads.append(path.name)
+            return read_feat_matrix(path)
+        with mock.patch.object(corpus, "read_feat_matrix", counting):
+            loaded = load_features(tmp_path)
+        assert sorted(reads) == sorted(p.name for p in tmp_path.glob("*.feat"))
+        assert "captions.feat" in reads
+        for cid, vec in store.caption_features.items():
+            assert np.array_equal(loaded.caption_features[cid], vec)
+
     def test_captions_without_index_rejected(self, tmp_path):
         write_feat_matrix(tmp_path / "captions.feat", np.ones((1, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="captions.idx"):
@@ -259,6 +275,24 @@ class TestSynthCorpus:
                 row = rows[int(grid.segment(i).start_s)].astype(np.float64)
                 row /= np.linalg.norm(row)
                 assert float(row @ cap) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_zero_noise_row_follows_the_half_row_owner(self, seed):
+        # fractional gts and a fractional video end, so rows are split by gt edges
+        cfg = SynthConfig(
+            n_train_videos=3, n_test_videos=1, captions_per_video=4,
+            video_len_s=29.5, gt_len_range=(0.4, 4.0), dim=6,
+            noise_sigma=0.0, caption_noise_sigma=0.0, align_gt_to_seconds=False, seed=seed,
+        )
+        store, anns = synth_corpus(cfg)
+        for video_id, rec in store.videos.items():
+            caps = sorted((a.gt_interval.start_s, a.gt_interval.end_s, a.caption_id)
+                          for a in anns if a.video_id == video_id)
+            gts = [(lo, hi) for lo, hi, _ in caps]
+            for row, feat in enumerate(rec.features):
+                owner = row_owner_ref(row, min(row + 1.0, cfg.video_len_s), gts)
+                for j, (_, _, cid) in enumerate(caps):
+                    assert np.array_equal(feat, store.caption_features[cid]) == (owner == j)
 
     def test_zero_noise_background_near_orthogonal(self):
         cfg = SynthConfig(
@@ -538,6 +572,28 @@ def test_edit_all_pools_like_row_loop(case):
     assert len(seen) == len(expect)
     for got, want in zip(seen, expect):
         assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("budget", [128, 256])
+def test_short_segments_keep_blocks_in_budget(budget):
+    # at seg_len_s = 0.1 a clip has about ten segments per row of its span;
+    # a block of two or more clips must still hold its segment rows in budget
+    store = block_store(4, 5, [(30, 1.0), (12, 0.5)])
+    refs = [ClipRef(f"v{i % 2}", Interval(0.25 * i, 0.25 * i + 3.0 + i % 4)) for i in range(12)]
+    blocks, real = [], corpus._pool_block
+
+    def record(recs, *args):
+        segs, first = real(recs, *args)
+        blocks.append((len(recs), segs.nbytes))
+        return segs, first
+    with budget_patch(budget, 4), mock.patch.object(corpus, "_pool_block", record):
+        got = clip_means(store, refs, 0.1)
+    assert any(n > 1 for n, _ in blocks)
+    for n, nbytes in blocks:
+        assert n == 1 or nbytes <= 4 * 4 * budget
+    for ref, row in zip(refs, got):
+        grid = segment_grid(ref.interval, 0.1)
+        assert np.array_equal(row, segment_features_ref(store, ref.video_id, grid).mean(axis=0))
 
 
 class TestBlockPoolingErrors:

@@ -459,3 +459,7 @@ class TestEditConfig:
             EditConfig(iou_gate=1.5)
         with pytest.raises(ValueError):
             EditConfig(seg_len_s=0.0)
+
+    def test_seg_len_below_floor_rejected(self):
+        with pytest.raises(ValueError, match=r"^seg_len_s must be >= 0\.01, got 1e-06$"):
+            EditConfig(seg_len_s=1e-6)

@@ -19,7 +19,7 @@ from clipedit.evalrep import (
     write_iou_hist,
     write_metrics,
 )
-from clipedit.timeline import Interval
+from clipedit.timeline import Interval, iou
 
 ranks_lists = st.lists(st.integers(min_value=1, max_value=500), min_size=1, max_size=60)
 
@@ -336,6 +336,22 @@ class TestIoUHistogram:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             iou_histogram([])
+
+    def test_equals_per_pair_iou_loop(self):
+        rng = np.random.default_rng(3)
+        pairs = [  # identical, touching, nested, disjoint
+            (Interval(0.0, 5.0), Interval(0.0, 5.0)), (Interval(0.0, 2.0), Interval(2.0, 3.0)),
+            (Interval(1.0, 9.0), Interval(2.5, 3.5)), (Interval(0.0, 1.0), Interval(4.0, 5.0)),
+        ]
+        for _ in range(500):
+            a0, b0 = (float(x) for x in rng.uniform(0, 20, 2))
+            pairs.append((Interval(a0, a0 + float(rng.uniform(0.1, 10))),
+                          Interval(b0, b0 + float(rng.uniform(0.1, 10)))))
+        values = [iou(a, b) for a, b in pairs]
+        h = iou_histogram(pairs)
+        counts, _ = np.histogram(values, bins=np.linspace(0.0, 1.0, 11))
+        assert h.counts == tuple(counts.tolist())
+        assert h.mean_iou == float(np.mean(values))
 
 
 class TestWriters:

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clipedit.timeline import (
+    SEG_LEN_MIN_S,
     DegenerateClipError,
     InitStrategy,
     Interval,
     initial_clip,
     iou,
+    ious,
     jitter,
+    segment_bounds,
+    segment_counts,
     segment_grid,
 )
+
+from oracles import grid_segments_ref, iou_ref
 
 MID = InitStrategy("midpoint_neighbors")
 SPAN = Interval(0.0, 300.0)
@@ -214,6 +220,95 @@ class TestSegmentGrid:
         for a, b in zip(segs, segs[1:]):
             assert a.end_s == b.start_s
         assert g.n_segments == max(1, math.floor(clip.length_s / seg_len))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def interval_pairs(draw):
+    """Two (start, end) tuples with fractional starts that touch, nest, are
+    disjoint, are identical or overlap, in either order."""
+    start = draw(st.integers(0, 10**6)) / draw(st.sampled_from([1, 3, 7, 100]))
+    length = draw(st.floats(min_value=1e-3, max_value=1e3))
+    a = (start, start + length)
+    other = draw(st.floats(min_value=1e-3, max_value=1e3))
+    kind = draw(st.sampled_from(["touching", "nested", "disjoint", "identical", "overlap"]))
+    if kind == "touching":
+        b = (a[1], a[1] + other)
+    elif kind == "nested":
+        lo = draw(st.integers(0, 998))
+        hi = draw(st.integers(lo + 1, 1000))
+        b = (a[0] + length * lo / 1000, a[0] + length * hi / 1000)
+    elif kind == "disjoint":
+        gap = draw(st.floats(min_value=1e-3, max_value=50.0))
+        b = (a[1] + gap, a[1] + gap + other)
+    elif kind == "identical":
+        b = a
+    else:
+        b = (a[0] + length * draw(st.integers(1, 999)) / 1000, a[1] + other)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestIntervalRules:
+    @given(st.lists(interval_pairs(), min_size=1, max_size=20))
+    def test_ious_equals_iou_ref_bit_for_bit(self, pairs):
+        a0, a1, b0, b1 = np.array([(*a, *b) for a, b in pairs]).T
+        want = [iou_ref(a, b) for a, b in pairs]
+        assert bits(ious(a0, a1, b0, b1)) == bits(want)
+        assert bits(iou(Interval(*a), Interval(*b)) for a, b in pairs) == bits(want)
+
+    @given(st.lists(interval_pairs(), min_size=1, max_size=8))
+    def test_ious_broadcasts_to_the_pair_matrix(self, pairs):
+        spans = [iv for pair in pairs for iv in pair]
+        s, e = np.array(spans).T
+        got = ious(s[:, None], e[:, None], s, e)
+        assert got.shape == (len(spans), len(spans))
+        assert bits(got.ravel()) == bits(iou_ref(a, b) for a in spans for b in spans)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 5000), st.sampled_from([1, 3, 100]),
+                           st.floats(min_value=0.05, max_value=60.0)), min_size=1, max_size=12),
+        st.sampled_from([0.1, 0.3, 1.0, 1.3]),
+    )
+    def test_segment_rules_equal_grid_segments_ref(self, clips, seg_len):
+        clips = [(num / den, num / den + length) for num, den, length in clips]
+        origin, clip_end = np.array(clips).T
+        want = [grid_segments_ref(start, end, seg_len) for start, end in clips]
+        n = segment_counts(clip_end - origin, seg_len)
+        assert n.dtype == np.int64 and n.tolist() == [len(w) for w in want]
+        clip = np.repeat(np.arange(len(clips)), n)
+        i = np.arange(clip.size) - (np.cumsum(n) - n)[clip]
+        start, end = segment_bounds(origin[clip], seg_len, n[clip], clip_end[clip], i)
+        flat = [seg for w in want for seg in w]
+        assert bits(start) == bits(lo for lo, _ in flat)
+        assert bits(end) == bits(hi for _, hi in flat)
+        grid = segment_grid(Interval(*clips[0]), seg_len)
+        assert grid.n_segments == len(want[0])
+        assert bits(v for j in range(grid.n_segments) for v in (grid.segment(j).start_s,
+                                                                  grid.segment(j).end_s)) == \
+            bits(v for seg in want[0] for v in seg)
+
+
+class TestSegLenBounds:
+    @pytest.mark.parametrize("seg_len", [0.0, -1.0, float("nan")])
+    def test_not_positive_keeps_its_message(self, seg_len):
+        with pytest.raises(ValueError, match=r"^seg_len_s must be > 0, got"):
+            segment_grid(ival(0, 5), seg_len)
+        with pytest.raises(ValueError, match=r"^seg_len_s must be > 0, got"):
+            segment_counts(np.array([5.0]), seg_len)
+
+    @pytest.mark.parametrize("seg_len", [1e-300, 1e-6, 0.0099])
+    def test_below_the_floor_is_rejected(self, seg_len):
+        with pytest.raises(ValueError, match=r"^seg_len_s must be >= 0\.01, got"):
+            segment_grid(ival(0, 5), seg_len)
+        with pytest.raises(ValueError, match=r"^seg_len_s must be >= 0\.01, got"):
+            segment_counts(np.array([5.0]), seg_len)
+
+    def test_the_floor_itself_is_accepted(self):
+        assert segment_grid(ival(0, 3), SEG_LEN_MIN_S).n_segments == len(
+            grid_segments_ref(0.0, 3.0, SEG_LEN_MIN_S))
 
 
 class TestJitter:
