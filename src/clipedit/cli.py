@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from dataclasses import replace
@@ -21,11 +20,12 @@ from .corpus import (
     CaptionAnnotation,
     ClipRef,
     FeatureStore,
-    atomic_write,
     load_annotations,
     load_features,
+    read_jsonl,
     synth_corpus,
     write_annotations,
+    write_csv,
     write_features,
 )
 from .cotrain import apply_jitter, build_initial_assignment, cotrain, warmup
@@ -82,11 +82,9 @@ def _eval_test_split(params, store, annotations, strategy) -> tuple[RetrievalMet
 
 def _check_outputs(out_dir: Path) -> None:
     """Re-read every declared output format; raise on any violation."""
+    store = load_features(out_dir) if any(out_dir.glob("*.feat")) else None
     if (out_dir / "annotations.jsonl").exists():
-        store = load_features(out_dir) if list(out_dir.glob("*.feat")) else None
         load_annotations(out_dir / "annotations.jsonl", store)
-    elif list(out_dir.glob("*.feat")):
-        load_features(out_dir)
     for ckpt in out_dir.glob("*.cfp"):
         load_checkpoint(ckpt)
     if (out_dir / "metrics.json").exists():
@@ -97,9 +95,7 @@ def _check_outputs(out_dir: Path) -> None:
     for name in ("cotrain_log.jsonl", "edits.jsonl"):
         path = out_dir / name
         if path.exists():
-            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-                if line.strip():
-                    json.loads(line)
+            list(read_jsonl(path))
     for name in ("iou_hist.csv", "iou_hist_gt.csv"):
         path = out_dir / name
         if path.exists():
@@ -161,7 +157,7 @@ def run_cotrain_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     log_path = out / "cotrain_log.jsonl"
     with log_path.open("w", encoding="utf-8") as log_fh:
-        def on_epoch(rec: dict) -> None:
+        def on_epoch(rec: dict) -> None:  # `write_jsonl`'s line, streamed so a crash keeps the log
             log_fh.write(json.dumps(rec) + "\n")
             log_fh.flush()
 
@@ -243,9 +239,7 @@ def cmd_ablate(run: RunConfig, args) -> int:
         metrics = run_cotrain_pipeline(sub_run, args.check, corpus)
         rows.append([value, metrics.r_at[1], metrics.r_at[5], metrics.r_at[10], metrics.med_r])
         print(f"{args.axis}={value}: R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
-    buf = io.StringIO()
-    csv.writer(buf).writerows([["value", "r1", "r5", "r10", "medr"], *rows])
-    atomic_write(out / "sweep.csv", buf.getvalue())
+    write_csv(out / "sweep.csv", [["value", "r1", "r5", "r10", "medr"], *rows])
     return 0
 
 

@@ -184,6 +184,8 @@ def build_run_config(cfg: dict) -> RunConfig:
         raise ConfigError(f"jitter_fraction must be in [0,1], got {run.jitter_fraction}")
     if run.max_jitter_s < 0:
         raise ConfigError(f"max_jitter_s must be >= 0, got {run.max_jitter_s}")
+    if run.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {run.seed}")
     return run
 
 

@@ -1,20 +1,24 @@
 """Annotation and feature ingestion plus a seeded synthetic-corpus generator.
 
-File formats:
-  annotations (JSON Lines, UTF-8): one object per line with fields
-    caption_id (str), video_id (str), timestamp (number, seconds),
-    split ("train"|"test"), optional gt_start/gt_end (numbers),
-    optional text (str).
-  video features `<video_id>.feat`: magic b"CFV1", uint32-LE dim,
-    uint32-LE n_rows, then n_rows*dim float32-LE values, row-major.
-    One row per second of video.
-  caption features: `captions.feat` in the same binary layout (one row
-    per caption) plus `captions.idx` JSON Lines mapping caption_id to
-    its row index.
+File formats (text UTF-8, binary little-endian), each read and written by one pair here:
+  JSON Lines (`read_jsonl`/`write_jsonl`): one `json.dumps` object per line;
+    blank lines are skipped, and every error names `path:line`.
+  annotations: JSON Lines of caption_id (str), video_id (str), timestamp
+    (number, seconds), split ("train"|"test"), optional gt_start/gt_end
+    (numbers) and text (str).
+  float32 container (`read_f32`/`write_f32`): 4 magic bytes, a `struct`
+    header, then exactly the float32 values the header counts.
+    `.feat`: b"CFV1", uint32 dim, uint32 n_rows, then n_rows*dim values,
+      row-major: one row per second of a video, or per caption in
+      `captions.feat`, whose rows the JSON Lines `captions.idx` maps to caption_ids.
+    `.cfp` checkpoints: b"CFP1", uint32 d_in, uint32 d_out, float64 tau, then
+      W_v (d_out*d_in), b_v (d_out), W_c (d_out*d_in), b_c (d_out).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
@@ -31,6 +35,7 @@ from .timeline import Interval, segment_bounds, segment_counts, segment_grid
 log = logging.getLogger(__name__)
 
 FEAT_MAGIC = b"CFV1"
+_FEAT_HEADER = "<II"  # dim, n_rows
 
 # A feature row r covers the half-open second [r, r+1) of its video; a row
 # is pooled into a segment when at least this fraction of the row's span
@@ -148,6 +153,8 @@ class SynthConfig:
             raise ValueError("noise sigmas must be >= 0")
         if self.dim < 1 or self.captions_per_video < 1:
             raise ValueError("dim and captions_per_video must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 # --------------------------------------------------------------------------
@@ -181,10 +188,71 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
         raise
 
 
+def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank line; a line that is not UTF-8 JSON,
+    not an object or lacks a `required` key raises a ValueError naming `path:line`."""
+    path, keys = Path(path), frozenset(required)
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {raw.decode().strip()}")
+            if not obj.keys() >= keys:  # one set test per line, not a loop per key
+                key = next(k for k in required if k not in obj)
+                raise ValueError(f"{path}:{lineno}: missing field {key!r}")
+            yield lineno, obj
+
+
+def write_jsonl(path: str | Path, objs) -> None:
+    """Write each object as one `json.dumps` line through `atomic_write`; no objects, an empty file."""
+    atomic_write(path, "".join(json.dumps(obj) + "\n" for obj in objs))
+
+
+def read_f32(path: str | Path, magic: bytes, header: str, n_values) -> tuple[tuple, np.ndarray]:
+    """(header fields, read-only float32 payload) of a file that is `magic`, the `struct`
+    format `header`, then exactly `n_values(*fields)` float32-LE values."""
+    path = Path(path)
+    raw = path.read_bytes()
+    if raw[:len(magic)] != magic:
+        raise ValueError(f"{path}: bad magic bytes {raw[:len(magic)]!r}, expected {magic!r}")
+    start = len(magic) + struct.calcsize(header)
+    if len(raw) < start:
+        raise ValueError(f"{path}: truncated header")
+    fields = struct.unpack(header, raw[len(magic):start])
+    expect = start + 4 * n_values(*fields)
+    if len(raw) != expect:
+        raise ValueError(f"{path}: expected {expect} bytes, got {len(raw)}")
+    return fields, np.frombuffer(raw, dtype="<f4", offset=start)
+
+
+def write_f32(path: str | Path, magic: bytes, header: str, fields: tuple, arrays) -> None:
+    """`magic`, `fields` packed by `header`, then each array as float32-LE, written atomically."""
+    values = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays]
+    atomic_write(path, b"".join([magic, struct.pack(header, *fields), *values]))
+
+
+def write_csv(path: str | Path, rows) -> None:
+    """Write `rows` with the default `csv.writer` dialect through `atomic_write`."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    atomic_write(path, buf.getvalue())
+
+
+def _first_line(line_of: dict[str, int], caption_id: str, path: Path, lineno: int) -> None:
+    """Record `caption_id` at `lineno`; a second line with it raises, naming both lines."""
+    first = line_of.setdefault(caption_id, lineno)
+    if first != lineno:
+        raise ValueError(f"{path}:{lineno}: duplicate caption_id {caption_id!r}, first at {path}:{first}")
+
+
 def write_annotations(path: str | Path, annotations: list[CaptionAnnotation]) -> None:
     """Write annotations as canonical JSON Lines (stable field order)."""
-    lines = [json.dumps(_annotation_to_obj(a)) for a in annotations]
-    atomic_write(path, "\n".join(lines) + "\n")
+    write_jsonl(path, map(_annotation_to_obj, annotations))
 
 
 def load_annotations(path: str | Path, store: FeatureStore | None = None) -> list[CaptionAnnotation]:
@@ -200,66 +268,51 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
     out: list[CaptionAnnotation] = []
     line_of: dict[str, int] = {}  # caption_id -> line
     first_at: dict[tuple[str, str, float], str] = {}  # (video_id, split, timestamp) -> caption_id
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                line = raw.decode("utf-8")
-                obj = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {line.strip()}")
-            for key in ("caption_id", "video_id", "timestamp", "split"):
-                if key not in obj:
-                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            if ("gt_start" in obj) != ("gt_end" in obj):
-                raise ValueError(f"{path}:{lineno}: gt_start/gt_end must come together")
-            # one expression per kind, not a loop per field: this runs once per line
-            if not (isinstance(obj["caption_id"], str) and isinstance(obj["video_id"], str)
-                    and isinstance(obj["split"], str)):
-                key = next(k for k in ("caption_id", "video_id", "split") if not isinstance(obj[k], str))
-                raise ValueError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
-            # exact types: a bool is an int to isinstance
-            if type(obj["timestamp"]) not in (int, float) or "gt_start" in obj and (
-                    type(obj["gt_start"]) not in (int, float) or type(obj["gt_end"]) not in (int, float)):
-                key = next(k for k in ("timestamp", "gt_start", "gt_end")
-                           if k in obj and type(obj[k]) not in (int, float))
-                raise ValueError(f"{path}:{lineno}: {key} must be a number, got {obj[key]!r}")
-            try:
-                gt = Interval(float(obj["gt_start"]), float(obj["gt_end"])) if "gt_start" in obj else None
-                ann = CaptionAnnotation(
-                    caption_id=obj["caption_id"],
-                    video_id=obj["video_id"],
-                    timestamp_s=float(obj["timestamp"]),
-                    gt_interval=gt,
-                    split=obj["split"],
-                    text=str(obj["text"]) if "text" in obj else None,
-                )
-            except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if ann.caption_id in line_of:
-                raise ValueError(f"{path}:{lineno}: duplicate caption_id {ann.caption_id!r}")
-            if store is not None:
-                rec = store.videos.get(ann.video_id)
-                if rec is None:
-                    raise ValueError(f"{path}:{lineno}: unknown video_id {ann.video_id!r}")
-                if not rec.span.contains(ann.timestamp_s):
-                    raise ValueError(
-                        f"{path}:{lineno}: caption {ann.caption_id}: timestamp "
-                        f"{ann.timestamp_s} outside video span [0.0, {rec.duration_s}]"
-                    )
-                if ann.caption_id not in store.caption_features:
-                    raise ValueError(f"{path}:{lineno}: no caption features for {ann.caption_id!r}")
-            first = first_at.setdefault((ann.video_id, ann.split, ann.timestamp_s), ann.caption_id)
-            if first != ann.caption_id:
+    for lineno, obj in read_jsonl(path, ("caption_id", "video_id", "timestamp", "split")):
+        if ("gt_start" in obj) != ("gt_end" in obj):
+            raise ValueError(f"{path}:{lineno}: gt_start/gt_end must come together")
+        # one expression per kind, not a loop per field: this runs once per line
+        if not (isinstance(obj["caption_id"], str) and isinstance(obj["video_id"], str)
+                and isinstance(obj["split"], str)):
+            key = next(k for k in ("caption_id", "video_id", "split") if not isinstance(obj[k], str))
+            raise ValueError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
+        # exact types: a bool is an int to isinstance
+        if type(obj["timestamp"]) not in (int, float) or "gt_start" in obj and (
+                type(obj["gt_start"]) not in (int, float) or type(obj["gt_end"]) not in (int, float)):
+            key = next(k for k in ("timestamp", "gt_start", "gt_end")
+                       if k in obj and type(obj[k]) not in (int, float))
+            raise ValueError(f"{path}:{lineno}: {key} must be a number, got {obj[key]!r}")
+        try:
+            gt = Interval(float(obj["gt_start"]), float(obj["gt_end"])) if "gt_start" in obj else None
+            ann = CaptionAnnotation(
+                caption_id=obj["caption_id"],
+                video_id=obj["video_id"],
+                timestamp_s=float(obj["timestamp"]),
+                gt_interval=gt,
+                split=obj["split"],
+                text=str(obj["text"]) if "text" in obj else None,
+            )
+        except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        _first_line(line_of, ann.caption_id, path, lineno)
+        if store is not None:
+            rec = store.videos.get(ann.video_id)
+            if rec is None:
+                raise ValueError(f"{path}:{lineno}: unknown video_id {ann.video_id!r}")
+            if not rec.span.contains(ann.timestamp_s):
                 raise ValueError(
-                    f"{path}:{lineno}: caption {ann.caption_id!r} has the same video, split and "
-                    f"timestamp {ann.timestamp_s} as the caption at {path}:{line_of[first]}"
+                    f"{path}:{lineno}: caption {ann.caption_id}: timestamp "
+                    f"{ann.timestamp_s} outside video span [0.0, {rec.duration_s}]"
                 )
-            line_of[ann.caption_id] = lineno
-            out.append(ann)
+            if ann.caption_id not in store.caption_features:
+                raise ValueError(f"{path}:{lineno}: no caption features for {ann.caption_id!r}")
+        first = first_at.setdefault((ann.video_id, ann.split, ann.timestamp_s), ann.caption_id)
+        if first != ann.caption_id:
+            raise ValueError(
+                f"{path}:{lineno}: caption {ann.caption_id!r} has the same video, split and "
+                f"timestamp {ann.timestamp_s} as the caption at {path}:{line_of[first]}"
+            )
+        out.append(ann)
     out.sort(key=lambda a: (a.video_id, a.timestamp_s))
     return out
 
@@ -269,25 +322,14 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
 
 
 def write_feat_matrix(path: str | Path, matrix: np.ndarray) -> None:
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
-    if arr.ndim != 2:
+    if np.ndim(matrix) != 2:
         raise ValueError("feature matrix must be 2-D")
-    n_rows, dim = arr.shape
-    atomic_write(path, FEAT_MAGIC + struct.pack("<II", dim, n_rows) + arr.tobytes())
+    n_rows, dim = np.shape(matrix)
+    write_f32(path, FEAT_MAGIC, _FEAT_HEADER, (dim, n_rows), [matrix])
 
 
 def read_feat_matrix(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != FEAT_MAGIC:
-        raise ValueError(f"{path}: bad magic bytes {raw[:4]!r}, expected {FEAT_MAGIC!r}")
-    if len(raw) < 12:
-        raise ValueError(f"{path}: truncated header")
-    dim, n_rows = struct.unpack("<II", raw[4:12])
-    expect = 12 + 4 * dim * n_rows
-    if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes for {n_rows}x{dim}, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=12)
+    (dim, n_rows), flat = read_f32(path, FEAT_MAGIC, _FEAT_HEADER, lambda dim, n_rows: dim * n_rows)
     return flat.reshape(n_rows, dim).copy()
 
 
@@ -301,8 +343,8 @@ def write_features(dir_path: str | Path, store: FeatureStore) -> None:
     if cap_ids:
         cap_matrix = np.stack([store.caption_features[c] for c in cap_ids])
         write_feat_matrix(dir_path / "captions.feat", cap_matrix)
-        lines = [json.dumps({"caption_id": c, "row": i}) for i, c in enumerate(cap_ids)]
-        atomic_write(dir_path / "captions.idx", "\n".join(lines) + "\n")
+        write_jsonl(dir_path / "captions.idx",
+                    ({"caption_id": c, "row": i} for i, c in enumerate(cap_ids)))
 
 
 def load_features(dir_path: str | Path) -> FeatureStore:
@@ -346,38 +388,26 @@ def load_features(dir_path: str | Path) -> FeatureStore:
         non_finite = ~np.isfinite(cap_matrix).all(axis=1)
         zero = ~cap_matrix.any(axis=1)
         line_of: dict[str, int] = {}  # caption_id -> line
-        with idx_path.open("rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw.decode("utf-8"))
-                    cid, row = obj["caption_id"], obj["row"]
-                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ValueError(f"{idx_path}:{lineno}: malformed index line: {exc}") from exc
-                if not isinstance(cid, str) or type(row) is not int:  # a bool is an int to isinstance
-                    raise ValueError(
-                        f"{idx_path}:{lineno}: malformed index line: caption_id must be a string "
-                        f"and row an integer, got {cid!r} and {row!r}"
-                    )
-                if cid in line_of:
-                    raise ValueError(
-                        f"{idx_path}:{lineno}: duplicate caption_id {cid!r}, first at "
-                        f"{idx_path}:{line_of[cid]}"
-                    )
-                line_of[cid] = lineno
-                if not 0 <= row < cap_matrix.shape[0]:
-                    raise ValueError(
-                        f"{idx_path}:{lineno}: row {row} out of range for the "
-                        f"{cap_matrix.shape[0]} rows of {cap_path}"
-                    )
-                if non_finite[row] or zero[row]:
-                    what = "non-finite" if non_finite[row] else "zero-norm"
-                    raise ValueError(
-                        f"{idx_path}:{lineno}: caption {cid!r} has {what} features "
-                        f"(row {row} of {cap_path})"
-                    )
-                store.caption_features[cid] = cap_matrix[row]
+        for lineno, obj in read_jsonl(idx_path, ("caption_id", "row")):
+            cid, row = obj["caption_id"], obj["row"]
+            if not isinstance(cid, str) or type(row) is not int:  # a bool is an int to isinstance
+                raise ValueError(
+                    f"{idx_path}:{lineno}: malformed index line: caption_id must be a string "
+                    f"and row an integer, got {cid!r} and {row!r}"
+                )
+            _first_line(line_of, cid, idx_path, lineno)
+            if not 0 <= row < cap_matrix.shape[0]:
+                raise ValueError(
+                    f"{idx_path}:{lineno}: row {row} out of range for the "
+                    f"{cap_matrix.shape[0]} rows of {cap_path}"
+                )
+            if non_finite[row] or zero[row]:
+                what = "non-finite" if non_finite[row] else "zero-norm"
+                raise ValueError(
+                    f"{idx_path}:{lineno}: caption {cid!r} has {what} features "
+                    f"(row {row} of {cap_path})"
+                )
+            store.caption_features[cid] = cap_matrix[row]
     return store
 
 
@@ -561,10 +591,10 @@ def _pool_block(
     lo += (lo < hi) & ~_qualifies(lo, start, end, duration)
     hi -= (lo < hi) & ~_qualifies(hi - 1, start, end, duration)
     count = hi - lo
-    for s in np.flatnonzero(count < 1).tolist():  # no row qualifies: the nearest row
-        center = (float(start[s]) + float(end[s])) / 2.0
-        lo[s] = min(range(int(n_rows[s])), key=lambda r: abs((r + 0.5) - center))
-        count[s] = 1
+    # no row qualifies: the row whose centre r + 0.5 is nearest, the lower one on a tie
+    none = count < 1
+    lo[none] = np.clip(np.ceil((start[none] + end[none]) / 2.0 - 1.0), 0, n_rows[none] - 1)
+    count[none] = 1
     clip_lo = np.minimum.reduceat(lo, first)
     clip_hi = np.maximum.reduceat(lo + count, first)
     offset = np.cumsum(clip_hi - clip_lo) - (clip_hi - clip_lo) - clip_lo

@@ -9,7 +9,6 @@ applied only when IoU(initial, winner) clears the configured gate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, atomic_write
+from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, write_jsonl
 from .encoder import EncoderParams, embed_caption
 from .timeline import Interval, SegmentGrid, check_seg_len, ious, segment_bounds, segment_counts
 
@@ -140,7 +139,7 @@ def _decide(
     other by more than `_lead_bound` keeps that winner; any other row (a
     near or exact tie) runs `consensus_argmax` on its own candidates.
     """
-    m = np.minimum([s.size for s in sims_rows], cfg.k)
+    m = np.array([min(s.size, cfg.k) for s in sims_rows])  # a Python min: k may pass int64
     k = max(2, int(m.max()))
     scores = np.full((len(sims_rows), max(k, max(s.size for s in sims_rows))), np.nan)
     for row, s in zip(scores, sims_rows):
@@ -249,16 +248,12 @@ def edit_all(
 
 
 def write_edits(path: str | Path, results: list[EditResult]) -> None:
-    lines = [
-        json.dumps({
-            "caption_id": r.caption_id,
-            "initial": [r.initial.start_s, r.initial.end_s],
-            "edited": [r.edited.start_s, r.edited.end_s],
-            "applied": r.applied,
-            "n_segments": r.n_segments,
-            "topk_indices": list(r.topk_indices),
-            "winner_pair": list(r.winner_pair) if r.winner_pair is not None else None,
-        })
-        for r in results
-    ]
-    atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_jsonl(path, ({
+        "caption_id": r.caption_id,
+        "initial": [r.initial.start_s, r.initial.end_s],
+        "edited": [r.edited.start_s, r.edited.end_s],
+        "applied": r.applied,
+        "n_segments": r.n_segments,
+        "topk_indices": list(r.topk_indices),
+        "winner_pair": list(r.winner_pair) if r.winner_pair is not None else None,
+    } for r in results))

@@ -6,24 +6,23 @@ are projected then normalized. Similarity is the dot product of unit
 vectors. Training minimizes a symmetric InfoNCE over in-batch negatives
 with analytic gradients (no autodiff dependency).
 
-Checkpoint format `.cfp`: magic b"CFP1", uint32-LE d_in, uint32-LE d_out,
-float64-LE tau, then W_v (d_out*d_in), b_v (d_out), W_c (d_out*d_in),
-b_c (d_out) as float32-LE.
+Checkpoints `.cfp` are float32 containers (`corpus.read_f32`); the
+`corpus` module docstring describes their layout.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means
+from .corpus import ClipAssignment, FeatureStore, clip_means, read_f32, write_f32
 
 CKPT_MAGIC = b"CFP1"
+_CKPT_HEADER = "<IId"  # d_in, d_out, tau
 
 _EPS = 1e-12
 
@@ -123,6 +122,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be sgd|adam, got {self.optimizer!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _normalize(z: np.ndarray, what: str, ids: Sequence[str] | None = None) -> np.ndarray:
@@ -339,34 +340,17 @@ def _train_epoch(
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
-    arrays = (params.W_v, params.b_v, params.W_c, params.b_c)
-    atomic_write(path, b"".join([
-        CKPT_MAGIC, struct.pack("<IId", params.d_in, params.d_out, params.tau),
-        *(np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays),
-    ]))
+    write_f32(path, CKPT_MAGIC, _CKPT_HEADER, (params.d_in, params.d_out, params.tau),
+              [params.W_v, params.b_v, params.W_c, params.b_c])
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
-    path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != CKPT_MAGIC:
-        raise ValueError(f"{path}: bad magic bytes {raw[:4]!r}, expected {CKPT_MAGIC!r}")
-    if len(raw) < 20:
-        raise ValueError(f"{path}: truncated header")
-    d_in, d_out, tau = struct.unpack("<IId", raw[4:20])
-    sizes = [d_out * d_in, d_out, d_out * d_in, d_out]
-    expect = 20 + 4 * sum(sizes)
-    if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes, got {len(raw)}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=20)
-    arrs, cursor = [], 0
-    for size in sizes:
-        arrs.append(flat[cursor:cursor + size].copy())
-        cursor += size
+    (d_in, d_out, tau), flat = read_f32(path, CKPT_MAGIC, _CKPT_HEADER,
+                                        lambda d_in, d_out, tau: 2 * d_out * (d_in + 1))
+    # fresh arrays, not views of the file buffer: BLAS may round a misaligned `row @ W.T` differently
+    w = d_out * d_in
+    W_v, b_v, W_c, b_c = (a.copy() for a in np.split(flat, [w, w + d_out, 2 * w + d_out]))
     try:
-        return EncoderParams(
-            W_v=arrs[0].reshape(d_out, d_in), b_v=arrs[1],
-            W_c=arrs[2].reshape(d_out, d_in), b_c=arrs[3], tau=tau,
-        )
+        return EncoderParams(W_v.reshape(d_out, d_in), b_v, W_c.reshape(d_out, d_in), b_c, tau)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import statistics
 from dataclasses import dataclass
@@ -11,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means
+from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means, write_csv
 from .encoder import EncoderParams, embed_captions, embed_clips
 from .timeline import Interval, ious
 
@@ -175,10 +173,6 @@ def write_metrics(path: str | Path, metrics: RetrievalMetrics, gallery_mode: str
 
 def write_iou_hist(path: str | Path, hist: IoUHistogram) -> None:
     """CSV with header bin_lo,bin_hi,count and a trailing mean row."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["bin_lo", "bin_hi", "count"])
-    for i, c in enumerate(hist.counts):
-        w.writerow([f"{hist.bin_edges[i]:.1f}", f"{hist.bin_edges[i + 1]:.1f}", c])
-    w.writerow(["mean", "", f"{hist.mean_iou:.6f}"])
-    atomic_write(path, buf.getvalue())
+    edges = hist.bin_edges
+    bins = [[f"{lo:.1f}", f"{hi:.1f}", c] for lo, hi, c in zip(edges, edges[1:], hist.counts)]
+    write_csv(path, [["bin_lo", "bin_hi", "count"], *bins, ["mean", "", f"{hist.mean_iou:.6f}"]])

@@ -228,6 +228,22 @@ class TestCliExitCodes:
         assert err.startswith(f"config error: seg_len_s must be >= 0.01, got {float(value)}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("setting,what", [
+        ("train.seed=-1", "config error: seed must be >= 0, got -1"),
+        ("synth.seed=-1", "config error: synth: seed must be >= 0, got -1"),
+        ("seed=-1", "config error: seed must be >= 0, got -1"),
+    ])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, setting, what):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(what) and "Traceback" not in err
+
+    def test_k_past_int64_runs(self, tmp_path):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out, "--check",
+                     "--set", "edit.k=1000000000000000000000"]) == 0
+
     def test_ablate_wrong_type_exits_2_naming_key(self, tmp_path, capsys):
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["ablate", "--config", cfg_path, "--out", out,
@@ -454,6 +470,11 @@ class TestCliSynth:
     def test_check_flag_revalidates(self, tmp_path):
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["synth", "--config", cfg_path, "--out", out, "--check"]) == 0
+
+    def test_check_names_the_bad_jsonl_line(self, tmp_path):
+        (tmp_path / "edits.jsonl").write_text('{"caption_id": "c1"}\n{"caption_id" "c2"}\n')
+        with pytest.raises(ValueError, match=r"edits\.jsonl:2: malformed JSON: "):
+            cli._check_outputs(tmp_path)
 
     def test_synth_output_feeds_features_dir_run(self, tmp_path):
         cfg_path, out = tiny_cli_args(tmp_path, "corpus")

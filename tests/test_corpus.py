@@ -83,7 +83,8 @@ class TestAnnotations:
         path = tmp_path / "ann.jsonl"
         line = '{"caption_id":"c1","video_id":"v1","timestamp":1.0,"split":"train"}\n'
         path.write_text(line + line)
-        with pytest.raises(ValueError, match="duplicate"):
+        both = r"ann\.jsonl:2: duplicate caption_id 'c1', first at .*ann\.jsonl:1$"
+        with pytest.raises(ValueError, match=both):
             load_annotations(path)
 
     def test_duplicate_timestamp_rejected_naming_both_lines(self, tmp_path):
@@ -126,6 +127,20 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="split"):
             self.make(split="validation")
 
+    @pytest.mark.parametrize("bad", ["[" * 100_000, "1" * 5_000], ids=["deep_nesting", "long_integer"])
+    def test_json_past_the_parser_limits_names_line(self, tmp_path, bad):
+        path = tmp_path / "ann.jsonl"
+        good = '{"caption_id":"c1","video_id":"v1","timestamp":1.0,"split":"train"}'
+        path.write_text(f"{good}\n{bad}\n")
+        with pytest.raises(ValueError, match=r"ann\.jsonl:2: malformed JSON: "):
+            load_annotations(path)
+
+    def test_no_annotations_write_the_empty_file_of_no_edits(self, tmp_path):
+        write_annotations(tmp_path / "ann.jsonl", [])
+        write_edits(tmp_path / "edits.jsonl", [])
+        assert (tmp_path / "ann.jsonl").read_bytes() == (tmp_path / "edits.jsonl").read_bytes() == b""
+        assert load_annotations(tmp_path / "ann.jsonl") == []
+
     def test_write_read_write_byte_identical(self, tmp_path):
         anns = [
             self.make(caption_id="a", timestamp_s=3.25, gt_interval=Interval(1.0, 6.5), text="pour the oil"),
@@ -156,9 +171,14 @@ class TestFeatureFiles:
         m = np.ones((4, 4), dtype=np.float32)
         path = tmp_path / "x.feat"
         write_feat_matrix(path, m)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="expected"):
-            read_feat_matrix(path)
+        full = path.read_bytes()
+        cuts = [(full[:-8], "expected")]
+        # the magic, then part of the header
+        cuts += [(full[:n], "truncated header") for n in range(4, 12)]
+        for cut, message in cuts:
+            path.write_bytes(cut)
+            with pytest.raises(ValueError, match=message):
+                read_feat_matrix(path)
 
     def test_store_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -448,6 +468,40 @@ def test_segment_features_matches_row_loop(case):
     assert np.array_equal(
         segment_features(store, "v", grid), segment_features_ref(store, "v", grid)
     )
+
+
+def nearest_row_ref(center, n_rows):
+    """The per-segment loop the closed-form nearest row replaced, kept as its reference."""
+    return min(range(n_rows), key=lambda r: abs((r + 0.5) - center))
+
+
+@st.composite
+def uncovered_clips(draw):
+    """(rows, clips): one-segment clips under half a row long, so no row
+    qualifies, centred on whole and half seconds, their float neighbours,
+    or anywhere in the video."""
+    n_rows = draw(st.integers(1, 3_600))
+    clips = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(0, n_rows))
+        near = [k, k + 0.5, math.nextafter(k, -math.inf), math.nextafter(k, math.inf)]
+        center = draw(st.sampled_from(near) | st.floats(0.0, float(n_rows)))
+        center = min(max(center, 0.0), float(n_rows))
+        half = draw(st.sampled_from([0.01, 0.0625, 0.125, 0.2]))
+        clips.append((max(0.0, center - half), min(float(n_rows), center + half)))
+    return n_rows, clips
+
+
+@settings(max_examples=200, deadline=None)
+@given(uncovered_clips())
+# a tie, both ends, a row centre
+@example((4, [(1.875, 2.125), (0.0, 0.125), (3.875, 4.0), (2.375, 2.625)]))
+def test_uncovered_segment_takes_the_nearest_row_lower_on_a_tie(case):
+    n_rows, clips = case
+    rows = np.arange(n_rows, dtype=np.float32)[:, None] * np.array([1.0, -1.0], dtype=np.float32)
+    store = make_store({"v": rows})
+    got = clip_means(store, [ClipRef("v", Interval(a, b)) for a, b in clips], seg_len_s=0.5)
+    assert got[:, 0].tolist() == [nearest_row_ref((a + b) / 2.0, n_rows) for a, b in clips]
 
 
 class TestClipMean:

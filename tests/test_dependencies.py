@@ -1,4 +1,5 @@
-"""The package's only runtime dependency outside the standard library is numpy."""
+"""The package's only runtime dependency outside the standard library is numpy, and
+each file format has one parser."""
 
 import ast
 import sys
@@ -40,3 +41,29 @@ def test_pyproject_depends_on_numpy_only():
     with (ROOT / "pyproject.toml").open("rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def top_level_uses(path: Path, attr: str) -> list[str]:
+    """The top-level definition around each use of `.attr` in `path` (`<module>` outside any)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        getattr(stmt, "name", "<module>") for stmt in tree.body for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
+def test_float32_containers_have_one_parser():
+    """Only `corpus` imports `struct` and only `corpus.read_f32` calls `np.frombuffer`,
+    so a second copy of the container parser fails here."""
+    importers = [
+        (path.name, module) for path in SOURCES for _, module in absolute_imports(path)
+        if module.partition(".")[0] == "struct"
+    ]
+    assert importers == [("corpus.py", "struct")]
+    users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "frombuffer")]
+    assert users == [("corpus.py", "read_f32")]
+
+
+def test_csv_files_have_one_writer():
+    users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "writer")]
+    assert users == [("corpus.py", "write_csv")]

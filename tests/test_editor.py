@@ -267,6 +267,12 @@ class TestEditFromSims:
         edited, _, _, _ = edit_from_sims(sims, grid, clip, EditConfig(k=int(rng.integers(2, 12))))
         assert clip.start_s <= edited.start_s < edited.end_s <= clip.end_s
 
+    def test_k_past_int64_equals_k_at_the_score_count(self):
+        sims = np.random.default_rng(0).standard_normal(7)
+        initial = Interval(0.0, 7.0)
+        assert (edit_from_sims(sims, unit_grid(7), initial, EditConfig(k=10**21))
+                == edit_from_sims(sims, unit_grid(7), initial, EditConfig(k=7)))
+
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=200, deadline=None)
     def test_monotone_transform_invariance(self, seed):
@@ -328,6 +334,12 @@ class TestEditAll:
         out1 = edit_all(p, store, clips, EditConfig(k=5))
         out2 = edit_all(p, store, clips, EditConfig(k=5))
         assert out1 == out2
+
+    def test_k_past_int64_equals_k_at_the_segment_count(self):
+        store, clips = self.build()  # every clip has 8 one-second segments
+        p = EncoderParams.init_random(6, rng=np.random.default_rng(1))
+        huge, at_count = EditConfig(k=10**21), EditConfig(k=8)
+        assert edit_all(p, store, clips, huge) == edit_all(p, store, clips, at_count)
 
     def test_results_ordered_by_caption_id(self):
         store, clips = self.build()

@@ -1,6 +1,7 @@
 """Damaged input files: every loader either loads or raises a ValueError naming the file."""
 
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from clipedit.corpus import (
     load_annotations,
     load_features,
     read_feat_matrix,
+    read_jsonl,
     synth_corpus,
     write_annotations,
     write_features,
@@ -130,3 +132,40 @@ def test_load_annotations(raw, with_store):
         path = Path(d) / "annotations.jsonl"
         path.write_bytes(raw)
         loads_or_names(lambda p: load_annotations(p, CORPUS[0] if with_store else None), path)
+
+
+REQUIRED = {"annotations.jsonl": ("caption_id", "video_id", "timestamp", "split"),
+            "captions.idx": ("caption_id", "row")}
+
+
+def jsonl_line_ok(line: bytes, required) -> bool:
+    """Whether `read_jsonl` must accept `line`: blank, or a UTF-8 JSON object with every required key."""
+    if not line.strip():
+        return True
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(obj, dict) and all(key in obj for key in required)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(REQUIRED)).flatmap(lambda n: st.tuples(st.just(n), damaged(FILES[n], 0))))
+def test_read_jsonl(case):
+    name, raw = case
+    lines = raw.split(b"\n")  # a binary file's lines end at b"\n" only
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / name
+        path.write_bytes(raw)
+        try:
+            got = list(read_jsonl(path, REQUIRED[name]))
+        except ValueError as exc:
+            named = re.match(re.escape(f"{path}:") + r"(\d+): ", str(exc))
+            assert named, str(exc)
+            n = int(named.group(1))
+            assert all(jsonl_line_ok(line, REQUIRED[name]) for line in lines[:n - 1])
+            assert not jsonl_line_ok(lines[n - 1], REQUIRED[name])
+        else:
+            assert all(jsonl_line_ok(line, REQUIRED[name]) for line in lines)
+            expect = [(n, json.loads(line)) for n, line in enumerate(lines, 1) if line.strip()]
+            assert json.dumps(got) == json.dumps(expect)  # as text: NaN == NaN
