@@ -157,29 +157,34 @@ class RunConfig:
     cotrain: CoTrainConfig
 
 
+def _section(name: str, cls, **kwargs):
+    """`cls(**kwargs)`; its ValueError becomes a ConfigError that starts with `name: `."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def build_run_config(cfg: dict) -> RunConfig:
     """Type-check the merged dict and construct typed sub-configs."""
     cfg = _typed("", cfg, DEFAULTS)
     synth = cfg["synth"]
     if synth is not None:
-        try:
-            cfg["synth"] = SynthConfig(**dict(synth, gt_len_range=tuple(synth["gt_len_range"])))
-        except ValueError as exc:
-            raise ConfigError(f"synth: {exc}") from exc
+        cfg["synth"] = _section("synth", SynthConfig,
+                                **dict(synth, gt_len_range=tuple(synth["gt_len_range"])))
     has_real = cfg["features_dir"] is not None
     if has_real == (synth is not None):
         raise ConfigError("exactly one of features_dir or synth must be set")
     if has_real and cfg["annotations_file"] is None:
         raise ConfigError("features_dir requires annotations_file")
-    train, edit, cotrain = (cfg.pop(k) for k in ("train", "edit", "cotrain"))
     try:
-        run = RunConfig(**dict(
-            cfg,
-            init_strategy=InitStrategy.parse(cfg["init_strategy"]),
-            cotrain=CoTrainConfig(train=TrainConfig(**train), edit=EditConfig(**edit), **cotrain),
-        ))
+        init_strategy = InitStrategy.parse(cfg["init_strategy"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    train = _section("train", TrainConfig, **cfg.pop("train"))
+    edit = _section("edit", EditConfig, **cfg.pop("edit"))
+    cotrain = _section("cotrain", CoTrainConfig, train=train, edit=edit, **cfg.pop("cotrain"))
+    run = RunConfig(**dict(cfg, init_strategy=init_strategy, cotrain=cotrain))
     if not 0.0 <= run.jitter_fraction <= 1.0:
         raise ConfigError(f"jitter_fraction must be in [0,1], got {run.jitter_fraction}")
     if run.max_jitter_s < 0:

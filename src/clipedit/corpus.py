@@ -188,24 +188,41 @@ def atomic_write(path: str | Path, data: str | bytes) -> None:
         raise
 
 
+# the C scanner `json.loads` runs, without its whitespace and extra-data passes
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank line; a line that is not UTF-8 JSON,
-    not an object or lacks a `required` key raises a ValueError naming `path:line`."""
+    not an object or lacks a `required` key raises a ValueError naming `path:line`, and a
+    file that cannot be read one naming `path`."""
     path, keys = Path(path), frozenset(required)
-    with path.open("rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object, got {raw.decode().strip()}")
-            if not obj.keys() >= keys:  # one set test per line, not a loop per key
-                key = next(k for k in required if k not in obj)
-                raise ValueError(f"{path}:{lineno}: missing field {key!r}")
-            yield lineno, obj
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.strip():
+                    continue
+                try:
+                    line = raw.decode("utf-8")
+                    try:
+                        obj, end = _raw_decode(line)
+                    except (ValueError, RecursionError):
+                        end = -1
+                    # anything but a bare object and newline (whitespace, a BOM, extra data,
+                    # an error) is left to `json.loads`, so it decides exactly as it would
+                    if end < 0 or line[end:] not in ("", "\n"):
+                        obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+                    raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+                if not isinstance(obj, dict):
+                    got = raw.decode().strip()
+                    raise ValueError(f"{path}:{lineno}: expected a JSON object, got {got}")
+                if not obj.keys() >= keys:  # one set test per line, not a loop per key
+                    key = next(k for k in required if k not in obj)
+                    raise ValueError(f"{path}:{lineno}: missing field {key!r}")
+                yield lineno, obj
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 def write_jsonl(path: str | Path, objs) -> None:
@@ -215,18 +232,22 @@ def write_jsonl(path: str | Path, objs) -> None:
 
 def read_f32(path: str | Path, magic: bytes, header: str, n_values) -> tuple[tuple, np.ndarray]:
     """(header fields, read-only float32 payload) of a file that is `magic`, the `struct`
-    format `header`, then exactly `n_values(*fields)` float32-LE values."""
-    path = Path(path)
-    raw = path.read_bytes()
+    format `header`, then exactly `n_values(*fields)` float32-LE values. Errors name the
+    path as `Path(path)` prints it."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ValueError(f"{Path(path)}: cannot read: {exc.strerror or exc}") from exc
     if raw[:len(magic)] != magic:
-        raise ValueError(f"{path}: bad magic bytes {raw[:len(magic)]!r}, expected {magic!r}")
+        raise ValueError(f"{Path(path)}: bad magic bytes {raw[:len(magic)]!r}, expected {magic!r}")
     start = len(magic) + struct.calcsize(header)
     if len(raw) < start:
-        raise ValueError(f"{path}: truncated header")
+        raise ValueError(f"{Path(path)}: truncated header")
     fields = struct.unpack(header, raw[len(magic):start])
     expect = start + 4 * n_values(*fields)
     if len(raw) != expect:
-        raise ValueError(f"{path}: expected {expect} bytes, got {len(raw)}")
+        raise ValueError(f"{Path(path)}: expected {expect} bytes, got {len(raw)}")
     return fields, np.frombuffer(raw, dtype="<f4", offset=start)
 
 
@@ -243,11 +264,10 @@ def write_csv(path: str | Path, rows) -> None:
     atomic_write(path, buf.getvalue())
 
 
-def _first_line(line_of: dict[str, int], caption_id: str, path: Path, lineno: int) -> None:
-    """Record `caption_id` at `lineno`; a second line with it raises, naming both lines."""
-    first = line_of.setdefault(caption_id, lineno)
-    if first != lineno:
-        raise ValueError(f"{path}:{lineno}: duplicate caption_id {caption_id!r}, first at {path}:{first}")
+def _duplicate(line_of: dict[str, int], caption_id: str, path: Path, lineno: int) -> ValueError:
+    """The error for `caption_id` seen again at `lineno`, naming both lines."""
+    first = line_of[caption_id]
+    return ValueError(f"{path}:{lineno}: duplicate caption_id {caption_id!r}, first at {path}:{first}")
 
 
 def write_annotations(path: str | Path, annotations: list[CaptionAnnotation]) -> None:
@@ -294,12 +314,13 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
             )
         except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        _first_line(line_of, ann.caption_id, path, lineno)
+        if line_of.setdefault(ann.caption_id, lineno) != lineno:
+            raise _duplicate(line_of, ann.caption_id, path, lineno)
         if store is not None:
             rec = store.videos.get(ann.video_id)
             if rec is None:
                 raise ValueError(f"{path}:{lineno}: unknown video_id {ann.video_id!r}")
-            if not rec.span.contains(ann.timestamp_s):
+            if not 0.0 <= ann.timestamp_s <= rec.duration_s:  # `rec.span.contains`, without an Interval
                 raise ValueError(
                     f"{path}:{lineno}: caption {ann.caption_id}: timestamp "
                     f"{ann.timestamp_s} outside video span [0.0, {rec.duration_s}]"
@@ -353,14 +374,20 @@ def load_features(dir_path: str | Path) -> FeatureStore:
     Video durations are recovered as whole seconds (one row per second).
     """
     dir_path = Path(dir_path)
-    feat_paths = sorted(dir_path.glob("*.feat"))
-    if not feat_paths:
+    try:
+        # the names `Path.glob("*.feat")` finds, in its order: within one directory it sorts by name
+        names = sorted(e.name for e in os.scandir(dir_path) if e.name.endswith(".feat"))
+    except OSError:
+        names = []
+    if not names:
         raise ValueError(f"no feature files found in {dir_path}")
+    prefix = os.path.join(dir_path, "") if dir_path.parts else ""  # `dir_path / name`, as a str
     store = FeatureStore()
     dim: int | None = None
-    dim_src: Path | None = None
+    dim_src: str | None = None
     cap_matrix: np.ndarray | None = None
-    for path in feat_paths:
+    for name in names:
+        path = prefix + name
         matrix = read_feat_matrix(path)
         if dim is None:
             dim, dim_src = matrix.shape[1], path
@@ -368,12 +395,12 @@ def load_features(dir_path: str | Path) -> FeatureStore:
             raise ValueError(
                 f"dimension mismatch: {dim_src} has d={dim} but {path} has d={matrix.shape[1]}"
             )
-        if path.name == "captions.feat":
+        if name == "captions.feat":
             cap_matrix = matrix
             continue
         if not matrix.shape[0]:
             raise ValueError(f"{path}: video has no feature rows")
-        video_id = path.stem
+        video_id = os.path.splitext(name)[0]  # `Path.stem`: ".feat" stays ".feat"
         try:
             store.videos[video_id] = VideoRecord(
                 video_id=video_id, duration_s=float(matrix.shape[0]), features=matrix
@@ -395,7 +422,8 @@ def load_features(dir_path: str | Path) -> FeatureStore:
                     f"{idx_path}:{lineno}: malformed index line: caption_id must be a string "
                     f"and row an integer, got {cid!r} and {row!r}"
                 )
-            _first_line(line_of, cid, idx_path, lineno)
+            if line_of.setdefault(cid, lineno) != lineno:
+                raise _duplicate(line_of, cid, idx_path, lineno)
             if not 0 <= row < cap_matrix.shape[0]:
                 raise ValueError(
                     f"{idx_path}:{lineno}: row {row} out of range for the "

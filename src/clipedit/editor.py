@@ -210,8 +210,8 @@ def edit_all(
     """Edit every assigned clip; results ordered by caption_id. The clips of
     two or more segments are pooled a block at a time (`corpus._pool_blocks`)
     and each caption is scored on its own rows of the block; then `_decide`
-    edits blocks of captions sized by `_IOU_BLOCK_BYTES`."""
-    block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, cfg.k * (cfg.k - 1) // 2) ** 2))
+    edits blocks of captions sized by `_IOU_BLOCK_BYTES` for the largest Top-K
+    the clips can have."""
     items = sorted(clips.items())
     recs = []
     for caption_id, ref in items:
@@ -224,6 +224,8 @@ def edit_all(
     initials = [ref.interval for _, ref in items]
     origin, clip_end = np.array([(iv.start_s, iv.end_s) for iv in initials]).reshape(-1, 2).T
     n_seg = segment_counts(clip_end - origin, cfg.seg_len_s)
+    k = min(cfg.k, int(n_seg.max(initial=1)))  # a Python min: k may pass int64
+    block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, k * (k - 1) // 2) ** 2))
     sims = [np.zeros(1)] * len(items)  # a clip of one segment is not pooled
     multi = np.flatnonzero(n_seg >= 2)
     for lo, hi, segs, first in _pool_blocks(

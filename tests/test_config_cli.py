@@ -225,15 +225,26 @@ class TestCliExitCodes:
         assert main(["cotrain", "--config", cfg_path, "--out", out,
                      "--set", f"edit.seg_len_s={value}"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: seg_len_s must be >= 0.01, got {float(value)}")
+        assert err.startswith(f"config error: edit: seg_len_s must be >= 0.01, got {float(value)}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("setting,what", [
-        ("train.seed=-1", "config error: seed must be >= 0, got -1"),
+        ("train.seed=-1", "config error: train: seed must be >= 0, got -1"),
         ("synth.seed=-1", "config error: synth: seed must be >= 0, got -1"),
         ("seed=-1", "config error: seed must be >= 0, got -1"),
     ])
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, setting, what):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(what) and "Traceback" not in err
+
+    @pytest.mark.parametrize("setting,what", [
+        ("edit.k=0", "config error: edit: k must be >= 1, got 0"),
+        ("train.batch_size=1", "config error: train: batch_size must be >= 2, got 1"),
+        ("cotrain.patience=0", "config error: cotrain: patience must be >= 1, got 0"),
+    ])
+    def test_section_error_names_its_section(self, tmp_path, capsys, setting, what):
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["cotrain", "--config", cfg_path, "--out", out, "--set", setting]) == 2
         err = capsys.readouterr().err
@@ -409,6 +420,30 @@ class TestCliExitCodes:
         assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert f"{victim}: video {victim.stem}: non-finite feature values" in err
+
+    def test_missing_annotations_file_exits_2_naming_it(self, tmp_path, capsys):
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        (corpus / "annotations.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: {corpus / 'annotations.jsonl'}: cannot read: " \
+                      "No such file or directory\n"
+
+    def test_directory_named_feat_exits_2_naming_it(self, tmp_path, capsys):
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        (corpus / "zz.feat").mkdir()
+        capsys.readouterr()
+        assert main(["cotrain", "--config", cfg2_path, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: {corpus / 'zz.feat'}: cannot read: Is a directory\n"
+
+    def test_missing_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        ckpt = tmp_path / "absent.cfp"
+        assert main(["eval", "--config", cfg_path, "--out", out, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: {ckpt}: cannot read: No such file or directory\n"
 
     def test_empty_video_feat_exits_2_naming_file(self, tmp_path, capsys):
         corpus, cfg2_path = self.file_corpus_cfg(tmp_path)

@@ -1,4 +1,5 @@
 import contextlib
+import io
 import json
 import math
 import os
@@ -23,6 +24,7 @@ from clipedit.corpus import (
     clip_means,
     load_features,
     read_feat_matrix,
+    read_jsonl,
     sample_timestamp,
     segment_features,
     synth_corpus,
@@ -222,7 +224,7 @@ class TestFeatureFiles:
         reads = []
 
         def counting(path):
-            reads.append(path.name)
+            reads.append(os.path.basename(path))
             return read_feat_matrix(path)
         with mock.patch.object(corpus, "read_feat_matrix", counting):
             loaded = load_features(tmp_path)
@@ -235,6 +237,84 @@ class TestFeatureFiles:
         write_feat_matrix(tmp_path / "captions.feat", np.ones((1, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="captions.idx"):
             load_features(tmp_path)
+
+
+def jsonl_by_json_loads(path, data: bytes) -> list:
+    """What `read_jsonl(path)` must give: (line, `json.loads(line)`) per non-blank line,
+    up to the first line `json.loads` rejects or that is not an object, as its message."""
+    out: list = []
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):  # a binary file's lines end at b"\n"
+        line = raw.decode("utf-8")
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            return out + [f"{path}:{lineno}: malformed JSON: {exc}"]
+        if not isinstance(obj, dict):
+            return out + [f"{path}:{lineno}: expected a JSON object, got {line.strip()}"]
+        out.append((lineno, obj))
+    return out
+
+
+class TestReadPath:
+    """Edges of the fast read path: each must behave as `json.loads` per line and `Path.glob`."""
+
+    @pytest.mark.parametrize("data", [
+        b'{"a": 1}\n{"b": [2, 3]}',
+        b'{"a": 1}\r\n',
+        b' {"a": 1}\n',
+        b'{"a": 1} \t\n',
+        '\ufeff{"a": 1}\n'.encode("utf-8"),
+        b'{"a": 1}{"b": 2}\n',
+        b'[1, 2]\n',
+        b'{"a": 1}\n{"a": \n',  # a failed decode must not read as a match ending at "\n"
+        b'{"a":[1\n2]}, {"b":3}\n',  # joined, these two lines would parse as two objects
+    ], ids=["plain", "crlf", "leading_space", "trailing_space_tab", "bom", "extra_object", "array",
+            "malformed_last_line", "split_object"])
+    def test_read_jsonl_decides_each_line_as_json_loads(self, tmp_path, data):
+        path = tmp_path / "x.jsonl"
+        path.write_bytes(data)
+        got: list = []
+        try:
+            got.extend(read_jsonl(path))
+        except ValueError as exc:
+            got.append(str(exc))
+        assert got == jsonl_by_json_loads(path, data)
+
+    def test_feat_names_order_and_ids_match_path_glob(self, tmp_path):
+        for name in (".x.feat", ".feat", "a.b.feat", "B.feat", "a.feat", "x.FEAT"):
+            write_feat_matrix(tmp_path / name, np.ones((2, 3), dtype=np.float32))
+        reads = []
+
+        def counting(path):
+            reads.append(os.path.basename(path))
+            return read_feat_matrix(path)
+        with mock.patch.object(corpus, "read_feat_matrix", counting):
+            store = load_features(tmp_path)
+        paths = sorted(tmp_path.glob("*.feat"))
+        assert reads == [p.name for p in paths] == [".feat", ".x.feat", "B.feat", "a.b.feat", "a.feat"]
+        assert list(store.videos) == [p.stem for p in paths] == [".feat", ".x", "B", "a.b", "a"]
+
+    def test_feat_errors_name_the_path_as_path_prints_it(self, tmp_path, monkeypatch):
+        (tmp_path / "a.feat").write_bytes(b"XXXX")
+        monkeypatch.chdir(tmp_path)
+        for given in (".", "./", ""):
+            with pytest.raises(ValueError) as exc:
+                load_features(given)
+            assert str(exc.value).startswith("a.feat: bad magic bytes")
+        with pytest.raises(ValueError) as exc:
+            load_features(str(tmp_path) + "/./")
+        assert str(exc.value).startswith(f"{tmp_path / 'a.feat'}: bad magic bytes")
+
+    @pytest.mark.parametrize("where", ["missing", "file"])
+    def test_no_directory_finds_no_feature_files(self, tmp_path, where):
+        target = tmp_path / "x"
+        if where == "file":
+            write_feat_matrix(target, np.ones((2, 3), dtype=np.float32))
+        with pytest.raises(ValueError) as exc:
+            load_features(target)
+        assert str(exc.value) == f"no feature files found in {target}"
 
 
 class TestVideoRecord:

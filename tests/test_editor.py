@@ -336,10 +336,15 @@ class TestEditAll:
         assert out1 == out2
 
     def test_k_past_int64_equals_k_at_the_segment_count(self):
-        store, clips = self.build()  # every clip has 8 one-second segments
+        store, clips = self.build(n_videos=20)  # 40 clips, each of 8 one-second segments
         p = EncoderParams.init_random(6, rng=np.random.default_rng(1))
-        huge, at_count = EditConfig(k=10**21), EditConfig(k=8)
-        assert edit_all(p, store, clips, huge) == edit_all(p, store, clips, at_count)
+        plans = []
+        for cfg in (EditConfig(k=10**21), EditConfig(k=8)):
+            with patch.object(editor, "_decide", wraps=editor._decide) as decide:
+                out = edit_all(p, store, clips, cfg)
+            plans.append(([len(call.args[0]) for call in decide.call_args_list], out))
+        # the same results from the same `_decide` blocks: at k = 8 one block holds all 40 captions
+        assert plans[0] == plans[1] and plans[1][0] == [40]
 
     def test_results_ordered_by_caption_id(self):
         store, clips = self.build()
@@ -396,7 +401,9 @@ class TestBlockEditor:
             clips[cid] = ClipRef("v", Interval(origin, origin + length))
         teacher = EncoderParams.init_random(d, rng=np.random.default_rng(seed + 1))
         cfg = EditConfig(k=k, seg_len_s=seg_len, iou_gate=gate)
-        c = max(1, k * (k - 1) // 2)
+        # blocks are sized for the largest Top-K the clips can have
+        top = min(k, max(segment_grid(ref.interval, seg_len).n_segments for ref in clips.values()))
+        c = max(1, top * (top - 1) // 2)
         budget = 8 * c * c * per_block if per_block else editor._IOU_BLOCK_BYTES
         with patch.object(editor, "_IOU_BLOCK_BYTES", budget), \
                 patch.object(editor, "_decide", wraps=editor._decide) as decide:
