@@ -99,7 +99,8 @@ def _check_outputs(out_dir: Path) -> None:
     for name in ("iou_hist.csv", "iou_hist_gt.csv"):
         path = out_dir / name
         if path.exists():
-            rows = list(csv.reader(path.open(encoding="utf-8")))
+            with path.open(encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
             if rows[0] != ["bin_lo", "bin_hi", "count"] or rows[-1][0] != "mean":
                 raise ValueError(f"{name}: unexpected layout")
 
@@ -121,12 +122,8 @@ def cmd_synth(run: RunConfig, args) -> int:
 def _train_assignment(run: RunConfig, store: FeatureStore, annotations: list[CaptionAnnotation]):
     """The (possibly jittered) initial train assignment."""
     assignment = build_initial_assignment(store, annotations, run.init_strategy)
-    if run.jitter_fraction > 0 and run.max_jitter_s > 0:
-        rng = np.random.default_rng(run.seed)
-        assignment = apply_jitter(
-            assignment, run.jitter_fraction, run.max_jitter_s, store, rng
-        )
-    return assignment
+    rng = np.random.default_rng(run.seed)
+    return apply_jitter(assignment, run.jitter_fraction, run.max_jitter_s, store, rng)
 
 
 def cmd_warmup(run: RunConfig, args) -> int:

@@ -100,10 +100,6 @@ class VideoRecord:
         if not np.all(np.isfinite(self.features)):
             raise ValueError(f"video {self.video_id}: non-finite feature values")
 
-    @property
-    def span(self) -> Interval:
-        return Interval(0.0, self.duration_s)
-
 
 @dataclass
 class FeatureStore:
@@ -121,10 +117,7 @@ class FeatureStore:
         raise ValueError("empty feature store has no dimension")
 
     def video_span(self, video_id: str) -> Interval:
-        rec = self.videos.get(video_id)
-        if rec is None:
-            raise ValueError(f"unknown video_id {video_id!r}")
-        return rec.span
+        return Interval(0.0, _video(self, video_id, 0.0, 0.0).duration_s)
 
 
 @dataclass(frozen=True)
@@ -281,8 +274,8 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
     Two captions of one video and split may not share a timestamp: the
     initial clips need strictly ordered neighbours, so the second one is
     rejected. When `store` is given, every video_id must resolve, every
-    timestamp must lie within its video's span, and every caption must
-    have caption features.
+    timestamp and gt interval must lie within its video's span, and every
+    caption must have caption features.
     """
     path = Path(path)
     out: list[CaptionAnnotation] = []
@@ -320,11 +313,16 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
             rec = store.videos.get(ann.video_id)
             if rec is None:
                 raise ValueError(f"{path}:{lineno}: unknown video_id {ann.video_id!r}")
-            if not 0.0 <= ann.timestamp_s <= rec.duration_s:  # `rec.span.contains`, without an Interval
+            if not 0.0 <= ann.timestamp_s <= rec.duration_s:  # exact: `initial_clip` uses `contains`
                 raise ValueError(
                     f"{path}:{lineno}: caption {ann.caption_id}: timestamp "
                     f"{ann.timestamp_s} outside video span [0.0, {rec.duration_s}]"
                 )
+            if gt is not None:
+                try:
+                    _video(store, ann.video_id, gt.start_s, gt.end_s)  # the span rule pooling applies
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: caption {ann.caption_id}: gt {exc}") from exc
             if ann.caption_id not in store.caption_features:
                 raise ValueError(f"{path}:{lineno}: no caption features for {ann.caption_id!r}")
         first = first_at.setdefault((ann.video_id, ann.split, ann.timestamp_s), ann.caption_id)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, write_jsonl
-from .encoder import EncoderParams, embed_caption
+from .encoder import EncoderParams, segment_similarities
 from .timeline import Interval, SegmentGrid, check_seg_len, ious, segment_bounds, segment_counts
 
 # Bytes of one block's (B, C, C) float64 consensus IoU tensor: 32 captions
@@ -99,15 +99,6 @@ def consensus_select(candidates: list[Interval]) -> Interval:
     return candidates[consensus_argmax(candidates)]
 
 
-def segment_similarities(
-    teacher: EncoderParams, seg_feats: np.ndarray, cap_feat: np.ndarray
-) -> np.ndarray:
-    """Cosine of each individually embedded segment against the caption."""
-    z = seg_feats @ teacher.W_v.T + teacher.b_v
-    z = z / np.maximum(np.linalg.norm(z, axis=1, keepdims=True), 1e-12)
-    return z @ embed_caption(teacher, cap_feat)
-
-
 def _lead_bound(c: int) -> float:
     """Lead M that a candidate's `np.sum` key needs over every other key
     for `consensus_argmax` to pick that candidate too.
@@ -180,8 +171,6 @@ def edit_from_sims(
     Returns (edited, applied, topk_indices, winner_pair).
     """
     sims = np.asarray(sims)
-    if sims.ndim != 1 or sims.size == 0:
-        raise ValueError("sims must be a non-empty 1-D vector")
     top = top_k_segments(sims, cfg.k)
     if len(top) >= 2 and top[-1] >= grid.n_segments:  # more scores than segments
         grid.segment(next(t for t in top if t >= grid.n_segments))  # enumerate_candidates' error
@@ -207,11 +196,11 @@ def edit_all(
     clips: ClipAssignment,
     cfg: EditConfig,
 ) -> tuple[ClipAssignment, list[EditResult]]:
-    """Edit every assigned clip; results ordered by caption_id. The clips of
-    two or more segments are pooled a block at a time (`corpus._pool_blocks`)
-    and each caption is scored on its own rows of the block; then `_decide`
-    edits blocks of captions sized by `_IOU_BLOCK_BYTES` for the largest Top-K
-    the clips can have."""
+    """Edit every assigned clip; results ordered by caption_id. Every clip is
+    pooled a block at a time (`corpus._pool_blocks`) and each caption is
+    scored on its own rows of the block; then `_decide` edits blocks of
+    captions sized by `_IOU_BLOCK_BYTES` for the largest Top-K the clips can
+    have, and leaves a clip of one segment as it is."""
     items = sorted(clips.items())
     recs = []
     for caption_id, ref in items:
@@ -226,15 +215,12 @@ def edit_all(
     n_seg = segment_counts(clip_end - origin, cfg.seg_len_s)
     k = min(cfg.k, int(n_seg.max(initial=1)))  # a Python min: k may pass int64
     block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, k * (k - 1) // 2) ** 2))
-    sims = [np.zeros(1)] * len(items)  # a clip of one segment is not pooled
-    multi = np.flatnonzero(n_seg >= 2)
-    for lo, hi, segs, first in _pool_blocks(
-        [recs[i] for i in multi.tolist()], origin[multi], clip_end[multi], n_seg[multi], cfg.seg_len_s
-    ):
-        for i, f, n in zip(multi[lo:hi].tolist(), first.tolist(), n_seg[multi[lo:hi]].tolist()):
-            caption_id = items[i][0]
+    sims = []
+    for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, cfg.seg_len_s):
+        for (caption_id, _), f, n in zip(items[lo:hi], first.tolist(), n_seg[lo:hi].tolist()):
+            cap = store.caption_features[caption_id]
             try:
-                sims[i] = segment_similarities(teacher, segs[f:f + n], store.caption_features[caption_id])
+                sims.append(segment_similarities(teacher, segs[f:f + n], cap))
             except ValueError as exc:
                 raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
     results: list[EditResult] = []

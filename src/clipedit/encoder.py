@@ -122,8 +122,19 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"optimizer must be sgd|adam, got {self.optimizer!r}")
+        for name in ("beta1", "beta2"):  # beta = 1 zeroes Adam's bias-correction divisor
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:  # eps = 0 divides 0 by 0 for a weight whose gradients were all 0
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def _unit(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z / n, n) with n each row's norm, clamped below at _EPS."""
+    n = np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), _EPS)
+    return z / n, n
 
 
 def _normalize(z: np.ndarray, what: str, ids: Sequence[str] | None = None) -> np.ndarray:
@@ -147,6 +158,13 @@ def embed_clip(params: EncoderParams, seg_feats: np.ndarray) -> np.ndarray:
 def embed_caption(params: EncoderParams, cap_feat: np.ndarray) -> np.ndarray:
     """normalize(W_c @ caption + b_c)."""
     return _normalize(np.asarray(cap_feat) @ params.W_c.T + params.b_c, "caption")
+
+
+def segment_similarities(
+    teacher: EncoderParams, seg_feats: np.ndarray, cap_feat: np.ndarray
+) -> np.ndarray:
+    """Cosine of each individually embedded segment against the caption."""
+    return _unit(seg_feats @ teacher.W_v.T + teacher.b_v)[0] @ embed_caption(teacher, cap_feat)
 
 
 def _embed_rows(
@@ -210,13 +228,9 @@ def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, w
     B = len(means)
     tau = params.tau
 
-    # forward, keeping pre-normalization values for backprop
-    pooled = means @ params.W_v.T + params.b_v  # (B, d_out)
-    z_c = cap_feats @ params.W_c.T + params.b_c
-    norm_v = np.maximum(np.linalg.norm(pooled, axis=1, keepdims=True), _EPS)
-    norm_c = np.maximum(np.linalg.norm(z_c, axis=1, keepdims=True), _EPS)
-    U = pooled / norm_v
-    V = z_c / norm_c
+    # forward, keeping the clamped norms for backprop
+    U, norm_v = _unit(means @ params.W_v.T + params.b_v)  # (B, d_out)
+    V, norm_c = _unit(cap_feats @ params.W_c.T + params.b_c)
     S = U @ V.T
 
     A = S / tau

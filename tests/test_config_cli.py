@@ -243,6 +243,10 @@ class TestCliExitCodes:
         ("edit.k=0", "config error: edit: k must be >= 1, got 0"),
         ("train.batch_size=1", "config error: train: batch_size must be >= 2, got 1"),
         ("cotrain.patience=0", "config error: cotrain: patience must be >= 1, got 0"),
+        ("train.beta1=1.0", "config error: train: beta1 must be in [0, 1), got 1.0"),
+        ("train.beta2=1.0", "config error: train: beta2 must be in [0, 1), got 1.0"),
+        ("train.beta1=-3", "config error: train: beta1 must be in [0, 1), got -3.0"),
+        ("train.eps=-1.0", "config error: train: eps must be > 0, got -1.0"),
     ])
     def test_section_error_names_its_section(self, tmp_path, capsys, setting, what):
         cfg_path, out = tiny_cli_args(tmp_path)
@@ -337,9 +341,10 @@ class TestCliExitCodes:
         ({"caption_id": None}, "caption_id must be a string"),
         ({"video_id": 7}, "video_id must be a string"),
         ({"split": ["train"]}, "split must be a string"),
+        ({"gt_end": 35.0}, "35.0] outside video"),  # the synthetic videos are 30 s long
     ], ids=["int", "null", "timestamp-null", "timestamp-list", "gt_start-null",
             "timestamp-bool", "timestamp-str", "gt_start-str", "gt_end-bool",
-            "caption_id-null", "video_id-int", "split-list"])
+            "caption_id-null", "video_id-int", "split-list", "gt_end-past-video"])
     def test_bad_annotation_line_exits_2(self, tmp_path, capsys, bad_line, what):
         cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
         assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0

@@ -115,6 +115,27 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="c1"):
             load_annotations(path, store)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("gt,what", [
+        ((4.0, 12.5), r"gt grid \[4\.0, 12\.5\] outside video v1 span \[0, 10\.0\]$"),
+        ((9.5, 10.5), r"gt grid \[9\.5, 10\.5\] outside video v1 span \[0, 10\.0\]$"),
+    ])
+    def test_gt_outside_video_rejected_with_store(self, tmp_path, split, gt, what):
+        store = make_store({"v1": np.zeros((10, 3))}, {"c1": np.ones(3), "c2": np.ones(3)})
+        path = tmp_path / "ann.jsonl"
+        lines = [
+            {"caption_id": "c1", "video_id": "v1", "timestamp": 9.0, "split": split,
+             "gt_start": 8.0, "gt_end": 10.0},  # a gt may end where its video ends
+            {"caption_id": "c2", "video_id": "v1", "timestamp": 2.0, "split": split,
+             "gt_start": gt[0], "gt_end": gt[1]},
+        ]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+        assert len(load_annotations(path)) == 2  # without a store there is no span to check
+        with pytest.raises(ValueError, match=r"ann\.jsonl:2: caption c2: " + what):
+            load_annotations(path, store)
+        path.write_text(json.dumps(lines[0]) + "\n")
+        assert load_annotations(path, store)[0].gt_interval == Interval(8.0, 10.0)
+
     def test_caption_without_features_rejected_with_store(self, tmp_path):
         store = make_store({"v1": np.zeros((10, 3))}, {"c1": np.ones(3)})
         path = tmp_path / "ann.jsonl"
@@ -687,6 +708,7 @@ def test_clip_means_match_row_loop(case):
 @given(block_cases())
 @example(BLOCK_EXAMPLES[0])
 @example(BLOCK_EXAMPLES[1])
+@example(BLOCK_EXAMPLES[2])  # one-segment clips beside longer ones
 @example(BLOCK_EXAMPLES[3])
 def test_edit_all_pools_like_row_loop(case):
     d, seed, videos, clips, seg_len, _, budget = case
@@ -702,7 +724,7 @@ def test_edit_all_pools_like_row_loop(case):
     with budget_patch(budget, d), mock.patch("clipedit.editor.segment_similarities", record):
         edit_all(EncoderParams.identity(d), store, assignment, EditConfig(k=3, seg_len_s=seg_len))
     grids = [(ref, segment_grid(ref.interval, seg_len)) for _, ref in sorted(assignment.items())]
-    expect = [segment_features_ref(store, ref.video_id, g) for ref, g in grids if g.n_segments >= 2]
+    expect = [segment_features_ref(store, ref.video_id, g) for ref, g in grids]
     assert len(seen) == len(expect)
     for got, want in zip(seen, expect):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -740,6 +762,12 @@ class TestBlockPoolingErrors:
             clip_means(store, [good, ClipRef("vX", Interval(0.0, 2.0))])
         with pytest.raises(ValueError, match=r"^grid \[5.0, 9.5\] outside video v1 span \[0, 8.0\]$"):
             clip_means(store, [good, ClipRef("v1", Interval(5.0, 9.5))])
+
+    def test_video_span_is_the_pooling_span_and_keeps_its_message(self):
+        store = make_store(self.STORE_ROWS)
+        assert store.video_span("v1") == Interval(0.0, 8.0)
+        with pytest.raises(ValueError, match=r"^unknown video_id 'vX'$"):
+            store.video_span("vX")
 
     @pytest.mark.parametrize("budget", [None, 1])
     def test_edit_all_names_the_first_failing_caption(self, budget):

@@ -4,7 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clipedit import editor
 from clipedit.corpus import ClipRef, FeatureStore, VideoRecord, segment_features
@@ -211,6 +211,13 @@ class TestEditClip:
         assert res.n_segments == 1
         assert res.edited == res.initial and not res.applied
 
+    @pytest.mark.parametrize("clip", [Interval(4.0, 5.5), Interval(0.0, 10.0)], ids=["one", "ten"])
+    def test_zero_norm_caption_raises_for_every_clip(self, clip):
+        store = make_recovery_store()
+        store.caption_features["c1"] = np.zeros(8, dtype=np.float32)
+        with pytest.raises(ValueError, match=r"^editing caption 'c1': degenerate embedding"):
+            edit_clip(EncoderParams.identity(8), store, "c1", ClipRef("v1", clip), EditConfig(k=4))
+
     def test_gate_one_rejects_changed_boundary(self):
         store = make_recovery_store()
         res = edit_clip(
@@ -384,6 +391,8 @@ class TestBlockEditor:
         per_block=st.sampled_from([1, 2, 3, None]),
     )
     @settings(max_examples=150, deadline=None)
+    # one block of clips of 2, 1, 1, 13, 2, 12 and 1 segments
+    @example(seed=0, seg_len=1.0, k=4, gate=0.0, per_block=None)
     def test_matches_reference_steps(self, seed, seg_len, k, gate, per_block):
         rng = np.random.default_rng(seed)
         d = 6

@@ -368,7 +368,8 @@ class TestWriters:
         h = iou_histogram([(Interval(0, 4), Interval(2, 6)), (Interval(0, 2), Interval(0, 2))])
         path = tmp_path / "iou_hist.csv"
         write_iou_hist(path, h)
-        rows = list(csv.reader(path.open()))
+        with path.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["bin_lo", "bin_hi", "count"]
         assert len(rows) == 12  # header + 10 bins + mean
         assert rows[4] == ["0.3", "0.4", "1"]

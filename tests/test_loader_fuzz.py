@@ -59,12 +59,12 @@ CORPUS = synth_corpus(SynthConfig(
     n_train_videos=2, n_test_videos=1, captions_per_video=2, video_len_s=6.0,
     gt_len_range=(1.0, 2.0), dim=3, align_gt_to_seconds=True, seed=3,
 ))
-FEAT = tempfile.TemporaryDirectory()
-write_features(FEAT.name, CORPUS[0])
-write_annotations(Path(FEAT.name) / "annotations.jsonl", CORPUS[1])
-FILES = {p.name: p.read_bytes() for p in sorted(Path(FEAT.name).iterdir())}
-CKPT = Path(FEAT.name) / "model.cfp"
-save_checkpoint(CKPT, EncoderParams.init_random(3, rng=np.random.default_rng(0)))
+with tempfile.TemporaryDirectory() as feat:  # the files are kept as bytes; the directory goes
+    write_features(feat, CORPUS[0])
+    write_annotations(Path(feat) / "annotations.jsonl", CORPUS[1])
+    FILES = {p.name: p.read_bytes() for p in sorted(Path(feat).iterdir())}
+    save_checkpoint(Path(feat) / "model.cfp", EncoderParams.init_random(3, rng=np.random.default_rng(0)))
+    CKPT = (Path(feat) / "model.cfp").read_bytes()
 
 
 def feat_cases():
@@ -94,7 +94,7 @@ def test_load_features(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(damaged(CKPT.read_bytes(), 20))
+@given(damaged(CKPT, 20))
 def test_load_checkpoint(raw):
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "model.cfp"
