@@ -58,18 +58,16 @@ def _load_corpus(run: RunConfig) -> tuple[FeatureStore, list[CaptionAnnotation]]
 
 def _test_gallery(store, annotations, strategy):
     """Gallery boundaries for the test split: ground truth when annotated,
-    initial-heuristic clips otherwise. Returns (gallery, mode string)."""
+    initial-heuristic clips otherwise, formed only when some caption lacks
+    ground truth. Returns (gallery, mode string)."""
     test_anns = [a for a in annotations if a.split == "test"]
     if not test_anns:
         raise ConfigError("no test-split captions to evaluate")
-    fallback = build_initial_assignment(store, annotations, strategy, split="test")
-    gallery, n_gt = {}, 0
-    for a in test_anns:
-        if a.gt_interval is not None:
-            gallery[a.caption_id] = ClipRef(a.video_id, a.gt_interval)
-            n_gt += 1
-        else:
-            gallery[a.caption_id] = fallback[a.caption_id]
+    gallery = {a.caption_id: ClipRef(a.video_id, a.gt_interval)
+               for a in test_anns if a.gt_interval is not None}
+    n_gt = len(gallery)
+    if n_gt < len(test_anns):
+        gallery = build_initial_assignment(store, annotations, strategy, "test") | gallery
     mode = "gt" if n_gt == len(test_anns) else ("initial" if n_gt == 0 else "mixed")
     return gallery, mode
 

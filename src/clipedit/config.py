@@ -192,7 +192,3 @@ def build_run_config(cfg: dict) -> RunConfig:
     if run.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {run.seed}")
     return run
-
-
-def load_run_config(path: str | Path | None, sets: list[str] | None = None) -> RunConfig:
-    return build_run_config(load_config_dict(path, sets))

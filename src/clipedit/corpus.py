@@ -313,7 +313,7 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
             rec = store.videos.get(ann.video_id)
             if rec is None:
                 raise ValueError(f"{path}:{lineno}: unknown video_id {ann.video_id!r}")
-            if not 0.0 <= ann.timestamp_s <= rec.duration_s:  # exact: `initial_clip` uses `contains`
+            if not 0.0 <= ann.timestamp_s <= rec.duration_s:  # exact: `initial_clips` checks the same
                 raise ValueError(
                     f"{path}:{lineno}: caption {ann.caption_id}: timestamp "
                     f"{ann.timestamp_s} outside video span [0.0, {rec.duration_s}]"

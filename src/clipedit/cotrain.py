@@ -29,7 +29,7 @@ from .encoder import (
     similarity,
 )
 from .evalrep import _evaluate_pooled
-from .timeline import InitStrategy, initial_clip, jitter
+from .timeline import InitStrategy, Interval, initial_clips, jitter
 
 TEACHER_MODES = ("update", "frozen", "random", "self")
 
@@ -88,23 +88,18 @@ def build_initial_assignment(
     split: str = "train",
 ) -> ClipAssignment:
     """Initial clip per caption from neighboring timestamps within its video."""
-    by_video: dict[str, list[CaptionAnnotation]] = {}
-    for ann in annotations:
-        if ann.split == split:
-            by_video.setdefault(ann.video_id, []).append(ann)
-    out: ClipAssignment = {}
-    for video_id, anns in by_video.items():
-        anns.sort(key=lambda a: a.timestamp_s)
-        span = store.video_span(video_id)
-        for i, ann in enumerate(anns):
-            prev_t = anns[i - 1].timestamp_s if i > 0 else None
-            next_t = anns[i + 1].timestamp_s if i + 1 < len(anns) else None
-            try:
-                clip = initial_clip(prev_t, ann.timestamp_s, next_t, span, strategy)
-            except ValueError as exc:
-                raise ValueError(f"caption {ann.caption_id}: {exc}") from exc
-            out[ann.caption_id] = ClipRef(video_id, clip)
-    return out
+    anns = sorted((a for a in annotations if a.split == split), key=lambda a: (a.video_id, a.timestamp_s))
+    spans = {v: store.video_span(v) for v in dict.fromkeys(a.video_id for a in anns)}
+    t = np.array([a.timestamp_s for a in anns], dtype=np.float64)
+    same = np.array([a.video_id == b.video_id for a, b in zip(anns, anns[1:])], dtype=bool)
+    prev_t = np.append(np.nan, np.where(same, t[:-1], np.nan))  # NaN: no neighbor in the video
+    next_t = np.append(np.where(same, t[1:], np.nan), np.nan)
+    start, end = initial_clips(
+        prev_t, t, next_t, [spans[a.video_id].start_s for a in anns],
+        [spans[a.video_id].end_s for a in anns], strategy, [a.caption_id for a in anns],
+    )
+    clips = zip(start.tolist(), end.tolist())
+    return {a.caption_id: ClipRef(a.video_id, Interval(*clip)) for a, clip in zip(anns, clips)}
 
 
 def apply_jitter(

@@ -28,7 +28,7 @@ _EPS = 1e-12
 
 
 class NumericError(RuntimeError):
-    """Raised when a loss or gradient stops being finite."""
+    """Raised when a loss, gradient or trained weight stops being finite."""
 
 
 @dataclass
@@ -49,9 +49,13 @@ class EncoderParams:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not math.isfinite(self.tau):
             raise ValueError(f"tau must be finite, got {self.tau}")
-        for name in ("W_v", "b_v", "W_c", "b_c"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"non-finite values in {name}")
+        if (name := self._nonfinite()) is not None:
+            raise ValueError(f"non-finite values in {name}")
+
+    def _nonfinite(self) -> str | None:
+        """The first weight tensor holding a non-finite value, or None."""
+        names = ("W_v", "b_v", "W_c", "b_c")
+        return next((n for n in names if not np.all(np.isfinite(getattr(self, n)))), None)
 
     @property
     def d_in(self) -> int:
@@ -348,8 +352,12 @@ def _train_epoch(
         if idx.size < 2:
             continue
         loss, grads = _info_nce(params, pooled[idx], caps[idx], with_grads=True)
-        optimizer.step(params, grads)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is caught below
+            optimizer.step(params, grads)
         losses.append(loss)
+    # the next batch's loss catches a weight that a step made non-finite; after the last step, this does
+    if (name := params._nonfinite()) is not None:
+        raise NumericError(f"non-finite values in {name} after an optimizer step")
     return params, float(np.mean(losses)) if losses else 0.0
 
 

@@ -5,9 +5,10 @@ All quantities are real-valued seconds. A clip is a half-open span
 whose last element absorbs any fractional remainder, so the union of the
 segments is always exactly the clip.
 
-IoU, segment counts and segment bounds are each written once, as the
-broadcasting `ious`, `segment_counts` and `segment_bounds`; every scalar
-and block path calls them, so all paths agree bit for bit.
+IoU, segment counts, segment bounds and initial clips are each written
+once, as the broadcasting `ious`, `segment_counts`, `segment_bounds` and
+`initial_clips`; every scalar and block path calls them, so all paths
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -178,38 +179,43 @@ def initial_clip(
     video, or None at the first/last caption. Raises DegenerateClipError if
     the rule collapses (e.g. prev_gap at a timestamp equal to video start).
     """
-    if not video_span.contains(t):
-        raise ValueError(f"timestamp {t} outside video span [{video_span.start_s}, {video_span.end_s}]")
-    if prev_t is not None and not prev_t < t:
-        raise ValueError(f"prev_t {prev_t} must be < t {t}")
-    if next_t is not None and not t < next_t:
-        raise ValueError(f"next_t {next_t} must be > t {t}")
+    prev_t, next_t = (math.nan if x is None else x for x in (prev_t, next_t))
+    start, end = initial_clips(prev_t, t, next_t, video_span.start_s, video_span.end_s, strategy)
+    return Interval(float(start), float(end))
 
-    v0, v1 = video_span.start_s, video_span.end_s
+
+def initial_clips(
+    prev_t, t, next_t, v0, v1, strategy: InitStrategy, ids=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`initial_clip` over broadcasting float64 arrays, NaN for a missing neighbor and
+    [v0, v1] the video span; returns (start, end). Each check runs over every element
+    before the next, and the first failing element raises, as `caption <id>: ...` given `ids`."""
+    arrays = (np.asarray(x, dtype=np.float64) for x in (prev_t, t, next_t, v0, v1))
+    prev_t, t, next_t, v0, v1 = np.broadcast_arrays(*arrays)
+    named = {"prev_t": prev_t, "t": t, "next_t": next_t, "v0": v0, "v1": v1}
+
+    def check(ok, error, message: str) -> None:
+        for i in np.flatnonzero(~ok)[:1]:
+            text = message.format(strategy=strategy, **{k: v.flat[i] for k, v in named.items()})
+            raise error(text if ids is None else f"caption {ids[i]}: {text}")
+
+    check((v0 <= t) & (t <= v1), ValueError, "timestamp {t} outside video span [{v0}, {v1}]")
+    check(~(prev_t >= t), ValueError, "prev_t {prev_t} must be < t {t}")  # a NaN neighbor passes
+    check(~(next_t <= t), ValueError, "next_t {next_t} must be > t {t}")
+
     if strategy.variant == "midpoint_neighbors":
-        start = (prev_t + t) / 2.0 if prev_t is not None else v0
-        end = (t + next_t) / 2.0 if next_t is not None else v1
-    elif strategy.variant == "next_gap":
-        start = t
-        end = next_t if next_t is not None else v1
-    elif strategy.variant == "prev_gap":
-        start = prev_t if prev_t is not None else v0
-        end = t
-    elif strategy.variant == "full_neighbors":
-        start = prev_t if prev_t is not None else v0
-        end = next_t if next_t is not None else v1
-    else:  # fixed_half_width
-        start = t - strategy.half_width_s
-        end = t + strategy.half_width_s
-
-    start = min(max(start, v0), v1)
-    end = min(max(end, v0), v1)
-    if not start < end:
-        raise DegenerateClipError(
-            f"{strategy} at t={t} yields degenerate clip [{start}, {end}] "
-            f"in video [{v0}, {v1}]"
-        )
-    return Interval(start, end)
+        start, end = (prev_t + t) / 2.0, (t + next_t) / 2.0
+    elif strategy.variant == "fixed_half_width":
+        start, end = t - strategy.half_width_s, t + strategy.half_width_s
+    else:  # next_gap [t, next], prev_gap [prev, t], full_neighbors [prev, next]
+        start = t if strategy.variant == "next_gap" else prev_t
+        end = t if strategy.variant == "prev_gap" else next_t
+    # an edge taken from a missing (NaN) neighbor is the video's edge
+    named["start"] = start = np.clip(np.where(np.isnan(start), v0, start), v0, v1)
+    named["end"] = end = np.clip(np.where(np.isnan(end), v1, end), v0, v1)
+    check(start < end, DegenerateClipError,
+          "{strategy} at t={t} yields degenerate clip [{start}, {end}] in video [{v0}, {v1}]")
+    return start, end
 
 
 def jitter(clip: Interval, max_jitter_s: float, video_span: Interval, rng) -> Interval:

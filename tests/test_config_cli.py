@@ -15,7 +15,6 @@ from clipedit.config import (
     apply_set,
     build_run_config,
     load_config_dict,
-    load_run_config,
     parse_set,
 )
 from clipedit.corpus import read_feat_matrix, write_feat_matrix
@@ -161,23 +160,23 @@ class TestBuildRunConfig:
             build_run_config(load_config_dict_from(cfg))
 
     def test_int_for_float_field_is_stored_as_float(self, tmp_path):
-        run = load_run_config(
+        run = build_run_config(load_config_dict(
             write_cfg(tmp_path, synth_dict()),
             ["cotrain.gamma=0", "edit.iou_gate=1", "jitter_fraction=0",
              "synth.video_len_s=30", "synth.gt_len_range=[4,7]"],
-        )
+        ))
         for value, want in ((run.cotrain.gamma, 0.0), (run.cotrain.edit.iou_gate, 1.0),
                             (run.jitter_fraction, 0.0), (run.synth.video_len_s, 30.0),
                             *zip(run.synth.gt_len_range, (4.0, 7.0))):
             assert type(value) is float and value == want
 
     def test_partial_synth_object_is_merged_over_synth_defaults(self):
-        run = load_run_config(None, ['synth={"dim": 8}'])
+        run = build_run_config(load_config_dict(None, ['synth={"dim": 8}']))
         assert run.synth.dim == 8
         assert run.synth.n_train_videos == SYNTH_DEFAULTS["n_train_videos"]
 
     def test_valid_synth_run(self, tmp_path):
-        run = load_run_config(write_cfg(tmp_path, synth_dict()))
+        run = build_run_config(load_config_dict(write_cfg(tmp_path, synth_dict())))
         assert run.synth is not None
         assert run.features_dir is None
         cc = run.cotrain
@@ -490,6 +489,48 @@ class TestCliExitCodes:
         monkeypatch.setattr("clipedit.editor.segment_similarities", boom)
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["cotrain", "--config", cfg_path, "--out", out]) == 3
+
+    @pytest.mark.parametrize("command", ["warmup", "cotrain"])
+    def test_weight_overflow_in_the_last_step_exits_3(self, tmp_path, capsys, command):
+        # 16 train captions in one batch: no later batch's loss sees the overflowed weight
+        cfg = synth_dict(train={"batch_size": 32, "epochs": 1, "learning_rate": 1e300})
+        cfg["synth"].update(n_train_videos=4, n_test_videos=2, captions_per_video=4, video_len_s=40.0)
+        cfg_path = write_cfg(tmp_path, cfg)
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "run")]) == 3
+        assert "numeric error: non-finite values in W_v after an optimizer step" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "model.warmup.cfp").exists()
+
+    def _gallery_corpus(self, tmp_path, keep_gt: bool):
+        """A synthetic corpus whose first test caption sits at t = 0.0, with
+        or without its gt, and a checkpoint for it."""
+        cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
+        assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0
+        ann_path = Path(corpus) / "annotations.jsonl"
+        rows = [json.loads(line) for line in ann_path.read_text().splitlines()]
+        first = next(r for r in rows if r["split"] == "test")  # its video's earliest caption
+        first["timestamp"] = 0.0
+        if not keep_gt:
+            del first["gt_start"], first["gt_end"]
+        ann_path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ckpt = tmp_path / "model.cfp"
+        save_checkpoint(ckpt, EncoderParams.init_random(8, rng=np.random.default_rng(0)))
+        cfg = synth_dict(synth=None, features_dir=corpus, annotations_file=str(ann_path),
+                         init_strategy="prev_gap")
+        return write_cfg(tmp_path, cfg, "cfg2.json"), str(ckpt), first["caption_id"]
+
+    def test_all_gt_gallery_forms_no_initial_clips(self, tmp_path):
+        # prev_gap at t = 0.0 is degenerate, but an all-gt gallery never forms it
+        cfg_path, ckpt, _ = self._gallery_corpus(tmp_path, keep_gt=True)
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", cfg_path, "--out", str(out), "--checkpoint", ckpt]) == 0
+        assert json.loads((out / "metrics.json").read_text())["gallery_mode"] == "gt"
+
+    def test_mixed_gallery_names_a_degenerate_initial_clip(self, tmp_path, capsys):
+        cfg_path, ckpt, caption_id = self._gallery_corpus(tmp_path, keep_gt=False)
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--out", str(tmp_path / "ev"), "--checkpoint", ckpt]) == 2
+        assert (f"validation error: caption {caption_id}: prev_gap at t=0.0 yields degenerate clip [0.0, 0.0]"
+                in capsys.readouterr().err)
 
 
 class TestCliSynth:

@@ -21,7 +21,7 @@ from clipedit.encoder import (
     EncoderParams, TrainConfig, embed_caption, embed_clip, make_optimizer, similarity, train_epoch,
 )
 from clipedit.evalrep import evaluate_retrieval
-from clipedit.timeline import InitStrategy, Interval, iou
+from clipedit.timeline import InitStrategy, Interval, initial_clip, iou
 
 MID = InitStrategy("midpoint_neighbors")
 
@@ -74,6 +74,35 @@ class TestBuildInitialAssignment:
         anns = [CaptionAnnotation("cz", "v1", 0.0, split="train")]
         with pytest.raises(ValueError, match="cz"):
             build_initial_assignment(self.store, anns, InitStrategy("prev_gap"))
+
+    def test_duplicate_timestamp_names_the_second_caption(self):
+        from clipedit.corpus import CaptionAnnotation
+        anns = [
+            CaptionAnnotation("c3", "v1", 20.0, split="train"),
+            CaptionAnnotation("c1", "v1", 10.0, split="train"),
+            CaptionAnnotation("c2", "v1", 20.0, split="train"),
+        ]
+        with pytest.raises(ValueError, match=r"^caption c2: prev_t 20.0 must be < t 20.0$"):
+            build_initial_assignment(self.store, anns, MID)
+
+    @pytest.mark.parametrize("text", [
+        "midpoint_neighbors", "next_gap", "prev_gap", "full_neighbors", "fixed_half_width:3",
+    ])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_shuffled_corpus_equals_per_video_rule(self, text, split):
+        store, anns = small_corpus(n_train=5, n_test=4)
+        anns = [anns[i] for i in np.random.default_rng(3).permutation(len(anns))]
+        strategy = InitStrategy.parse(text)
+        want = {}
+        for video_id in {a.video_id for a in anns if a.split == split}:
+            ts = sorted((a.timestamp_s, a.caption_id) for a in anns if a.split == split and a.video_id == video_id)
+            for i, (t, cid) in enumerate(ts):
+                prev_t = ts[i - 1][0] if i > 0 else None
+                next_t = ts[i + 1][0] if i + 1 < len(ts) else None
+                clip = initial_clip(prev_t, t, next_t, store.video_span(video_id), strategy)
+                want[cid] = ClipRef(video_id, clip)
+        got = build_initial_assignment(store, anns, strategy, split)
+        assert got == want and len(got) == sum(a.split == split for a in anns)
 
 
 class TestWarmup:

@@ -1,5 +1,5 @@
-"""The package's only runtime dependency outside the standard library is numpy, and
-each file format has one parser."""
+"""The package's only runtime dependency outside the standard library is numpy,
+each file format has one parser, and the initial-clip rule has one copy."""
 
 import ast
 import sys
@@ -67,3 +67,10 @@ def test_float32_containers_have_one_parser():
 def test_csv_files_have_one_writer():
     users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "writer")]
     assert users == [("corpus.py", "write_csv")]
+
+
+def test_initial_clip_rule_has_one_copy():
+    """Only `InitStrategy` and `timeline.initial_clips` read a strategy's `.variant`,
+    so a second copy of the initial-clip rule fails here."""
+    users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "variant")]
+    assert sorted(set(users)) == [("timeline.py", "InitStrategy"), ("timeline.py", "initial_clips")]

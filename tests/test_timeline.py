@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clipedit.timeline import (
     SEG_LEN_MIN_S,
+    VARIANTS,
     DegenerateClipError,
     InitStrategy,
     Interval,
     initial_clip,
+    initial_clips,
     iou,
     ious,
     jitter,
@@ -155,6 +157,116 @@ class TestInitialClip:
             next_t = None
         clip = initial_clip(prev_t, t, next_t, SPAN, MID)
         assert clip.contains(t)
+
+
+def initial_clip_ref(prev_t, t, next_t, v0, v1, strategy):
+    """The per-caption rule as it was written before `initial_clips`: (start, end) or a raise."""
+    if not v0 <= t <= v1:
+        raise ValueError(f"timestamp {t} outside video span [{v0}, {v1}]")
+    if prev_t is not None and not prev_t < t:
+        raise ValueError(f"prev_t {prev_t} must be < t {t}")
+    if next_t is not None and not t < next_t:
+        raise ValueError(f"next_t {next_t} must be > t {t}")
+    if strategy.variant == "midpoint_neighbors":
+        start = (prev_t + t) / 2.0 if prev_t is not None else v0
+        end = (t + next_t) / 2.0 if next_t is not None else v1
+    elif strategy.variant == "next_gap":
+        start = t
+        end = next_t if next_t is not None else v1
+    elif strategy.variant == "prev_gap":
+        start = prev_t if prev_t is not None else v0
+        end = t
+    elif strategy.variant == "full_neighbors":
+        start = prev_t if prev_t is not None else v0
+        end = next_t if next_t is not None else v1
+    else:  # fixed_half_width
+        start = t - strategy.half_width_s
+        end = t + strategy.half_width_s
+    start = min(max(start, v0), v1)
+    end = min(max(end, v0), v1)
+    if not start < end:
+        raise DegenerateClipError(
+            f"{strategy} at t={t} yields degenerate clip [{start}, {end}] in video [{v0}, {v1}]"
+        )
+    return start, end
+
+
+def check_rank(exc: ValueError) -> int:
+    """Which of the rule's four checks raised `exc`, in the order they run."""
+    if isinstance(exc, DegenerateClipError):
+        return 3
+    return next(i for i, head in enumerate(("timestamp", "prev_t", "next_t")) if str(exc).startswith(head))
+
+
+@st.composite
+def clip_rows(draw):
+    """An init strategy and 1-5 (prev_t, t, next_t, v0, v1) rows: timestamps
+    mostly inside the span, some at or past its edges; neighbors mostly
+    missing or apart, some equal, a subnormal step away or out of order."""
+    variant = draw(st.sampled_from(VARIANTS))
+    width = draw(st.floats(min_value=0.01, max_value=50.0)) if variant == "fixed_half_width" else None
+
+    def gap():
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            return draw(st.sampled_from([0.0, -1.0, 5e-324]))
+        return None if kind < 4 else draw(st.floats(min_value=1e-3, max_value=200.0))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        v0 = draw(st.sampled_from([0.0, 2.5]))
+        v1 = v0 + draw(st.floats(min_value=0.5, max_value=100.0))
+        kind = draw(st.integers(0, 9))
+        t = (draw(st.sampled_from([v0 - 1.0, v1 + 1.0])) if kind == 0
+             else draw(st.sampled_from([v0, v1])) if kind < 3
+             else draw(st.floats(min_value=v0, max_value=v1)))
+        prev_gap, next_gap = gap(), gap()
+        rows.append((
+            None if prev_gap is None else t - prev_gap, t, None if next_gap is None else t + next_gap, v0, v1,
+        ))
+    return InitStrategy(variant, width), rows
+
+
+class TestInitialClips:
+    @settings(max_examples=300)
+    @given(clip_rows(), st.booleans())
+    def test_equals_the_per_caption_rule(self, case, named):
+        strategy, rows = case
+        outcomes = []
+        for row in rows:
+            try:
+                outcomes.append(initial_clip_ref(*row, strategy))
+            except ValueError as exc:
+                outcomes.append(exc)
+            # the one-element call keeps the scalar rule's result and error
+            try:
+                got = initial_clip(*row[:3], Interval(*row[3:]), strategy)
+            except ValueError as exc:
+                got = exc
+            want = outcomes[-1]
+            if isinstance(want, ValueError):
+                assert type(got) is type(want) and str(got) == str(want)
+            else:
+                assert bits((got.start_s, got.end_s)) == bits(want)
+
+        ids = [f"c{i}" for i in range(len(rows))] if named else None
+        cols = [np.array([np.nan if x is None else x for x in col]) for col in zip(*rows)]
+        errors = [(check_rank(o), i, o) for i, o in enumerate(outcomes) if isinstance(o, ValueError)]
+        if not errors:
+            start, end = initial_clips(*cols, strategy, ids)
+            assert bits(start) == bits(s for s, _ in outcomes)
+            assert bits(end) == bits(e for _, e in outcomes)
+            return
+        # each check runs over every row before the next: the first row failing the first failed check raises
+        _, i, want = min(errors)
+        with pytest.raises(ValueError) as info:
+            initial_clips(*cols, strategy, ids)
+        assert type(info.value) is type(want)
+        assert str(info.value) == (str(want) if ids is None else f"caption c{i}: {want}")
+
+    def test_broadcasts_scalar_neighbors_and_span(self):
+        start, end = initial_clips(np.nan, [3.0, 50.0, 98.0], np.nan, 0.0, 100.0, InitStrategy("fixed_half_width", 5))
+        assert start.tolist() == [0.0, 45.0, 93.0] and end.tolist() == [8.0, 55.0, 100.0]
 
 
 class TestInitStrategyParse:
