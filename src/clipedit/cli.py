@@ -72,10 +72,14 @@ def _test_gallery(store, annotations, strategy):
     return gallery, mode
 
 
-def _eval_test_split(params, store, annotations, strategy) -> tuple[RetrievalMetrics, str]:
+def _eval_test_split(params, store, annotations, strategy, out: Path, check: bool) -> RetrievalMetrics:
+    """Evaluate on the test split, write `metrics.json` and, with `check`, re-read the outputs."""
     gallery, mode = _test_gallery(store, annotations, strategy)
-    queries = sorted(gallery)
-    return evaluate_retrieval(params, store, queries, gallery), mode
+    metrics = evaluate_retrieval(params, store, sorted(gallery), gallery)
+    write_metrics(out / "metrics.json", metrics, mode)
+    if check:
+        _check_outputs(out)
+    return metrics
 
 
 def _check_outputs(out_dir: Path) -> None:
@@ -131,10 +135,7 @@ def cmd_warmup(run: RunConfig, args) -> int:
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "model.warmup.cfp", params)
-    metrics, mode = _eval_test_split(params, store, annotations, run.init_strategy)
-    write_metrics(out / "metrics.json", metrics, mode)
-    if args.check:
-        _check_outputs(out)
+    metrics = _eval_test_split(params, store, annotations, run.init_strategy, out, args.check)
     print(f"warmup done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     return 0
 
@@ -174,11 +175,7 @@ def run_cotrain_pipeline(
         ]
         if gt_pairs:
             write_iou_hist(out / "iou_hist_gt.csv", iou_histogram(gt_pairs))
-    metrics, mode = _eval_test_split(result.best_student, store, annotations, run.init_strategy)
-    write_metrics(out / "metrics.json", metrics, mode)
-    if check:
-        _check_outputs(out)
-    return metrics
+    return _eval_test_split(result.best_student, store, annotations, run.init_strategy, out, check)
 
 
 def cmd_cotrain(run: RunConfig, args) -> int:
@@ -196,10 +193,7 @@ def cmd_eval(run: RunConfig, args) -> int:
         )
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    metrics, mode = _eval_test_split(params, store, annotations, run.init_strategy)
-    write_metrics(out / "metrics.json", metrics, mode)
-    if args.check:
-        _check_outputs(out)
+    metrics = _eval_test_split(params, store, annotations, run.init_strategy, out, args.check)
     print(f"eval done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     return 0
 

@@ -116,15 +116,11 @@ def apply_jitter(
     n_pick = int(round(fraction * len(ids)))
     if n_pick == 0 or max_jitter_s == 0:
         return dict(clips)
-    picked = set(rng.choice(len(ids), size=n_pick, replace=False).tolist())
-    out: ClipAssignment = {}
-    for i, cid in enumerate(ids):
-        ref = clips[cid]
-        if i in picked:
-            span = store.video_span(ref.video_id)
-            out[cid] = ClipRef(ref.video_id, jitter(ref.interval, max_jitter_s, span, rng))
-        else:
-            out[cid] = ref
+    out = dict(clips)
+    for i in sorted(rng.choice(len(ids), size=n_pick, replace=False).tolist()):
+        ref = clips[ids[i]]
+        span = store.video_span(ref.video_id)
+        out[ids[i]] = ClipRef(ref.video_id, jitter(ref.interval, max_jitter_s, span, rng))
     return out
 
 

@@ -2,9 +2,11 @@
 
 Clips and captions get separate projections (W_v, b_v) and (W_c, b_c);
 segment rows are mean-pooled then projected then L2-normalized, captions
-are projected then normalized. Similarity is the dot product of unit
+are projected then normalized, all through `embed_clips`/`embed_captions`.
+`_unit` is the one norm rule. Similarity is the dot product of unit
 vectors. Training minimizes a symmetric InfoNCE over in-batch negatives
-with analytic gradients (no autodiff dependency).
+with analytic gradients (no autodiff dependency); a weight that an
+optimizer step leaves non-finite raises `NumericError`.
 
 Checkpoints `.cfp` are float32 containers (`corpus.read_f32`); the
 `corpus` module docstring describes their layout.
@@ -25,6 +27,9 @@ CKPT_MAGIC = b"CFP1"
 _CKPT_HEADER = "<IId"  # d_in, d_out, tau
 
 _EPS = 1e-12
+
+# The weight tensors, in field and checkpoint order.
+_TENSORS = ("W_v", "b_v", "W_c", "b_c")
 
 
 class NumericError(RuntimeError):
@@ -54,8 +59,7 @@ class EncoderParams:
 
     def _nonfinite(self) -> str | None:
         """The first weight tensor holding a non-finite value, or None."""
-        names = ("W_v", "b_v", "W_c", "b_c")
-        return next((n for n in names if not np.all(np.isfinite(getattr(self, n)))), None)
+        return next((n for n in _TENSORS if not np.isfinite(getattr(self, n)).all()), None)
 
     @property
     def d_in(self) -> int:
@@ -91,18 +95,11 @@ class EncoderParams:
         return cls(W_v=eye.copy(), b_v=zero.copy(), W_c=eye.copy(), b_c=zero.copy(), tau=tau)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            W_v=self.W_v.copy(), b_v=self.b_v.copy(),
-            W_c=self.W_c.copy(), b_c=self.b_c.copy(), tau=self.tau,
-        )
+        return EncoderParams(*(getattr(self, n).copy() for n in _TENSORS), tau=self.tau)
 
     def equals(self, other: "EncoderParams") -> bool:
-        return (
-            self.tau == other.tau
-            and np.array_equal(self.W_v, other.W_v)
-            and np.array_equal(self.b_v, other.b_v)
-            and np.array_equal(self.W_c, other.W_c)
-            and np.array_equal(self.b_c, other.b_c)
+        return self.tau == other.tau and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in _TENSORS
         )
 
 
@@ -135,33 +132,31 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-def _unit(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(z / n, n) with n each row's norm, clamped below at _EPS."""
-    n = np.maximum(np.linalg.norm(z, axis=-1, keepdims=True), _EPS)
+def _unit(z: np.ndarray, what: str | None = None, ids: Sequence[str] | None = None):
+    """(z / n, n) with n each row's norm. With no `what`, n is clamped below at _EPS;
+    with a `what` ("clip", "caption"), a norm below _EPS, NaN or inf is a ValueError
+    naming the row's entry in `ids`."""
+    n = np.linalg.norm(z, axis=-1, keepdims=True)
+    if what is None:
+        n = np.maximum(n, _EPS)
+    elif (bad := np.flatnonzero(~(n >= _EPS) | np.isinf(n))).size:  # a NaN norm fails n >= _EPS
+        kind = "zero-norm" if n.flat[bad[0]] < _EPS else "non-finite-norm"
+        name = f" {ids[bad[0]]!r}" if ids is not None else ""
+        raise ValueError(f"degenerate embedding: {kind} {what}{name}")
     return z / n, n
 
 
-def _normalize(z: np.ndarray, what: str, ids: Sequence[str] | None = None) -> np.ndarray:
-    norm = np.linalg.norm(z, axis=-1, keepdims=True)
-    bad = np.flatnonzero(norm < _EPS)
-    if bad.size:
-        name = f" {ids[bad[0]]!r}" if ids is not None else ""
-        raise ValueError(f"degenerate embedding: zero-norm {what}{name}")
-    return z / norm
-
-
 def embed_clip(params: EncoderParams, seg_feats: np.ndarray) -> np.ndarray:
-    """normalize(W_v @ meanpool(seg_feats) + b_v)."""
+    """normalize(W_v @ meanpool(seg_feats) + b_v): `embed_clips` of the one pooled row."""
     seg_feats = np.asarray(seg_feats)
     if seg_feats.ndim != 2 or seg_feats.shape[0] < 1:
         raise ValueError("segment features must be (n_segments >= 1, d_in)")
-    pooled = seg_feats.mean(axis=0) @ params.W_v.T + params.b_v
-    return _normalize(pooled, "clip")
+    return embed_clips(params, [seg_feats.mean(axis=0)])[0]
 
 
 def embed_caption(params: EncoderParams, cap_feat: np.ndarray) -> np.ndarray:
-    """normalize(W_c @ caption + b_c)."""
-    return _normalize(np.asarray(cap_feat) @ params.W_c.T + params.b_c, "caption")
+    """normalize(W_c @ caption + b_c): `embed_captions` of the one row."""
+    return embed_captions(params, [cap_feat])[0]
 
 
 def segment_similarities(
@@ -171,25 +166,25 @@ def segment_similarities(
     return _unit(seg_feats @ teacher.W_v.T + teacher.b_v)[0] @ embed_caption(teacher, cap_feat)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # `_unit` rejects a row that overflowed
 def _embed_rows(
     rows: Sequence[np.ndarray] | np.ndarray, W: np.ndarray, b: np.ndarray,
     what: str, ids: Sequence[str] | None,
 ) -> np.ndarray:
-    # Each row goes through the same `row @ W.T` call as the one-item
-    # functions; one (N, d_in) @ W.T product would round differently.
-    # The bias add and the row-wise normalization are elementwise, so the
-    # stacked result equals stacking the one-item embeddings bit for bit.
-    projected = [np.asarray(row) @ W.T for row in rows]
+    # One `row @ W.T` per row, so a row's embedding does not depend on the
+    # rows beside it: one (N, d_in) @ W.T product rounds differently.
+    Wt = W.T
+    projected = [row @ Wt for row in rows]
     if not projected:
         return np.empty((0, W.shape[0]), dtype=np.result_type(W, b))
-    return _normalize(np.stack(projected) + b, what, ids)
+    return _unit(np.array(projected) + b, what, ids)[0]
 
 
 def embed_clips(
     params: EncoderParams, pooled: Sequence[np.ndarray] | np.ndarray,
     ids: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Rows of `embed_clip` for each pooled clip vector p as a one-row matrix.
+    """normalize(W_v @ p + b_v) for each pooled clip vector p.
 
     `ids`, one per row, name a degenerate row in the error.
     """
@@ -200,7 +195,7 @@ def embed_captions(
     params: EncoderParams, caps: Sequence[np.ndarray] | np.ndarray,
     ids: Sequence[str] | None = None,
 ) -> np.ndarray:
-    """Rows of `embed_caption(params, c)` for each caption vector c."""
+    """normalize(W_c @ c + b_c) for each caption vector c."""
     return _embed_rows(caps, params.W_c, params.b_c, "caption", ids)
 
 
@@ -291,10 +286,13 @@ class AdamState:
             if name not in self.m:
                 self.m[name] = np.zeros_like(p, dtype=np.float64)
                 self.v[name] = np.zeros_like(p, dtype=np.float64)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1**self.t)
-            v_hat = self.v[name] / (1 - self.beta2**self.t)
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            m_hat = m / (1 - self.beta1**self.t)
+            v_hat = v / (1 - self.beta2**self.t)
             setattr(params, name, (p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype))
 
 
@@ -354,16 +352,15 @@ def _train_epoch(
         loss, grads = _info_nce(params, pooled[idx], caps[idx], with_grads=True)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is caught below
             optimizer.step(params, grads)
+        if (name := params._nonfinite()) is not None:
+            raise NumericError(f"non-finite values in {name} after an optimizer step")
         losses.append(loss)
-    # the next batch's loss catches a weight that a step made non-finite; after the last step, this does
-    if (name := params._nonfinite()) is not None:
-        raise NumericError(f"non-finite values in {name} after an optimizer step")
     return params, float(np.mean(losses)) if losses else 0.0
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
     write_f32(path, CKPT_MAGIC, _CKPT_HEADER, (params.d_in, params.d_out, params.tau),
-              [params.W_v, params.b_v, params.W_c, params.b_c])
+              [getattr(params, n) for n in _TENSORS])
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:

@@ -500,6 +500,35 @@ class TestCliExitCodes:
         assert "numeric error: non-finite values in W_v after an optimizer step" in capsys.readouterr().err
         assert not (tmp_path / "run" / "model.warmup.cfp").exists()
 
+    @pytest.mark.parametrize("command", ["warmup", "cotrain"])
+    def test_weight_overflow_mid_epoch_exits_3_naming_the_tensor(self, tmp_path, capsys, command):
+        # 16 train captions in batches of 4: the first step overflows and three batches follow it;
+        # a RuntimeWarning from their forward pass would fail this test
+        cfg = synth_dict()
+        cfg["synth"].update(n_train_videos=4, n_test_videos=2, captions_per_video=4, video_len_s=40.0)
+        cfg_path = write_cfg(tmp_path, cfg)
+        capsys.readouterr()
+        code = main([command, "--config", cfg_path, "--out", str(tmp_path / "run"),
+                     "--set", "train.learning_rate=1e300", "--set", "train.batch_size=4"])
+        assert code == 3
+        assert capsys.readouterr().err == "numeric error: non-finite values in W_v after an optimizer step\n"
+
+    def test_overflowing_caption_row_exits_2_naming_it(self, tmp_path, capsys):
+        # finite float32 features whose embedding norm overflows: not a rank-1 hit for every query
+        corpus, cfg2_path = self.file_corpus_cfg(tmp_path)
+        anns = [json.loads(line) for line in (corpus / "annotations.jsonl").read_text().splitlines()]
+        victim = next(a["caption_id"] for a in anns if a["split"] == "test")
+        index = [json.loads(line) for line in (corpus / "captions.idx").read_text().splitlines()]
+        matrix = read_feat_matrix(corpus / "captions.feat")
+        matrix[next(e["row"] for e in index if e["caption_id"] == victim)] = 3e38 * (-1.0) ** np.arange(8)
+        write_feat_matrix(corpus / "captions.feat", matrix)
+        ckpt = tmp_path / "model.cfp"
+        save_checkpoint(ckpt, EncoderParams.identity(8, dtype=np.float32))
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg2_path, "--out", str(tmp_path / "ev"), "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err == \
+            f"validation error: degenerate embedding: non-finite-norm caption {victim!r}\n"
+
     def _gallery_corpus(self, tmp_path, keep_gt: bool):
         """A synthetic corpus whose first test caption sits at t = 0.0, with
         or without its gt, and a checkpoint for it."""

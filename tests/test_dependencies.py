@@ -1,5 +1,5 @@
 """The package's only runtime dependency outside the standard library is numpy,
-each file format has one parser, and the initial-clip rule has one copy."""
+each file format has one parser, and the initial-clip and unit-norm rules have one copy each."""
 
 import ast
 import sys
@@ -74,3 +74,10 @@ def test_initial_clip_rule_has_one_copy():
     so a second copy of the initial-clip rule fails here."""
     users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "variant")]
     assert sorted(set(users)) == [("timeline.py", "InitStrategy"), ("timeline.py", "initial_clips")]
+
+
+def test_embedding_norm_rule_has_one_copy():
+    """Only `encoder._unit` and the synthetic generator's `corpus._unit` read `.norm`,
+    so a second copy of the unit-norm rule fails here."""
+    users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "norm")]
+    assert sorted(users) == [("corpus.py", "_unit"), ("encoder.py", "_unit")]

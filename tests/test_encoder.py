@@ -31,6 +31,16 @@ def random_params(rng, d, dtype=np.float64):
     return EncoderParams.init_random(d, rng=rng, dtype=dtype)
 
 
+def _normalized_ref(z):
+    """The one-item embedding's last step as first written: z / ||z||."""
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+
+
+def huge_row(d, dtype=np.float32):
+    """±3e38 entries: finite float32 whose projection or norm overflows."""
+    return (3e38 * (-1.0) ** np.arange(d)).astype(dtype)
+
+
 class TestEncoderParams:
     def test_init_random_bounds_and_zero_bias(self):
         p = random_params(np.random.default_rng(0), 25)
@@ -99,6 +109,36 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="degenerate"):
             embed_caption(p, np.zeros(3))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d_in=st.integers(1, 70), d_out=st.integers(1, 70), n_seg=st.integers(1, 6),
+        param_dtype=st.sampled_from([np.float32, np.float64]),
+        feat_dtype=st.sampled_from([np.float32, np.float64]),
+        scale=st.sampled_from([1e-4, 1.0, 1e4]), bias=st.sampled_from([0.0, 0.3, 5.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_item_embeddings_equal_direct_formula(
+        self, d_in, d_out, n_seg, param_dtype, feat_dtype, scale, bias, seed
+    ):
+        rng = np.random.default_rng(seed)
+        p = EncoderParams.init_random(d_in, d_out, rng=rng, dtype=param_dtype)
+        p.b_v[:] = bias * rng.standard_normal(d_out)
+        p.b_c[:] = bias * rng.standard_normal(d_out)
+        segs = (scale * rng.standard_normal((n_seg, d_in))).astype(feat_dtype)
+        cap = (scale * rng.standard_normal(d_in)).astype(feat_dtype)
+        clip_ref = _normalized_ref(segs.mean(axis=0) @ p.W_v.T + p.b_v)
+        cap_ref = _normalized_ref(cap @ p.W_c.T + p.b_c)
+        clip, caption = embed_clip(p, segs), embed_caption(p, cap)
+        assert clip.shape == clip_ref.shape and clip.dtype == clip_ref.dtype
+        assert caption.shape == cap_ref.shape and caption.dtype == cap_ref.dtype
+        assert np.array_equal(clip, clip_ref) and np.array_equal(caption, cap_ref)
+
+    def test_embed_clip_needs_a_segment_matrix(self):
+        p = EncoderParams.identity(3)
+        for bad in (np.ones(3), np.ones((0, 3)), np.ones((1, 1, 3))):
+            with pytest.raises(ValueError, match="n_segments >= 1"):
+                embed_clip(p, bad)
+
     def test_similarity_trivials(self):
         u = np.array([1.0, 0.0])
         assert similarity(u, u) == 1.0
@@ -148,6 +188,27 @@ class TestBatchedEmbeddings:
             embed_captions(p, rows, ["a", "b", "c"])
         with pytest.raises(ValueError, match="degenerate"):
             embed_clips(p, rows)
+
+    @pytest.mark.parametrize("params", ["identity", "random"])
+    def test_overflowing_row_named_by_id(self, params):
+        # identity: the norm overflows; random: the projection itself overflows
+        d = 8
+        p = (EncoderParams.identity(d, dtype=np.float32) if params == "identity"
+             else random_params(np.random.default_rng(0), d, dtype=np.float32))
+        rows = np.stack([np.ones(d, dtype=np.float32), huge_row(d), np.ones(d, dtype=np.float32)])
+        with pytest.raises(ValueError, match="degenerate embedding: non-finite-norm caption 'b'$"):
+            embed_captions(p, rows, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="degenerate embedding: non-finite-norm clip 'b'$"):
+            embed_clips(p, rows, ["a", "b", "c"])
+        with pytest.raises(ValueError, match="degenerate embedding: non-finite-norm caption$"):
+            embed_caption(p, rows[1])
+        with pytest.raises(ValueError, match="degenerate embedding: non-finite-norm clip$"):
+            embed_clip(p, rows[1:2])
+
+    def test_nan_row_is_non_finite_not_zero(self):
+        p = EncoderParams.identity(3)
+        with pytest.raises(ValueError, match="non-finite-norm caption 'x'"):
+            embed_captions(p, [np.array([np.nan, 0.0, 0.0])], ["x"])
 
 
 class TestInfoNCE:
@@ -376,7 +437,45 @@ class TestCheckpoints:
                 load_checkpoint(path)
 
 
+class AllocatingAdam(AdamState):
+    """Adam's step as first written: each moment update allocates a new array."""
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, g in grads.items():
+            p = getattr(params, name)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p, dtype=np.float64)
+                self.v[name] = np.zeros_like(p, dtype=np.float64)
+            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
+            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
+            m_hat = self.m[name] / (1 - self.beta1**self.t)
+            v_hat = self.v[name] / (1 - self.beta2**self.t)
+            setattr(params, name, (p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype))
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [5, 32])
+    def test_in_place_moments_equal_allocating_step(self, dtype, d):
+        rng = np.random.default_rng(d)
+        p = random_params(rng, d, dtype=dtype)
+        ref = p.copy()
+        opt = AdamState(lr=1e-2, beta1=0.8, beta2=0.99)
+        ref_opt = AllocatingAdam(lr=1e-2, beta1=0.8, beta2=0.99)
+        for step in range(150):
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads = {name: (scale * rng.standard_normal(getattr(p, name).shape)).astype(dtype)
+                     for name in ("W_v", "b_v", "W_c", "b_c")}
+            if step % 7 == 0:
+                grads["b_c"][:] = 0.0
+            opt.step(p, grads)
+            ref_opt.step(ref, grads)
+            assert p.equals(ref), step
+        for name in grads:
+            assert np.array_equal(opt.m[name], ref_opt.m[name])
+            assert np.array_equal(opt.v[name], ref_opt.v[name])
+
     def test_single_step_matches_hand_formula(self):
         p = EncoderParams(
             W_v=np.zeros((1, 1)), b_v=np.zeros(1), W_c=np.zeros((1, 1)), b_c=np.zeros(1)

@@ -309,6 +309,13 @@ class TestBatchedRetrievalExact:
         with pytest.raises(ValueError, match="zero-norm clip 'c3'"):
             evaluate_retrieval(p, store, ["c0"], gallery)
 
+    def test_overflowing_caption_is_named_not_ranked(self):
+        # its float32 norm overflows; as a zero or NaN embedding it would rank its clip first
+        store, gallery = separable_store(4)
+        store.caption_features["c2"] = (3e38 * (-1.0) ** np.arange(16)).astype(np.float32)
+        with pytest.raises(ValueError, match="^degenerate embedding: non-finite-norm caption 'c2'$"):
+            evaluate_retrieval(EncoderParams.identity(16, dtype=np.float32), store, sorted(gallery), gallery)
+
 
 class TestIoUHistogram:
     def test_identical_pairs_all_in_last_bin(self):
