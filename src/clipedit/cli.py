@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config_dict, build_run_config
+from .config import ConfigError, RunConfig, _json_or_str, load_config_dict, build_run_config
 from .corpus import (
     CaptionAnnotation,
     ClipRef,
@@ -89,11 +89,14 @@ def _check_outputs(out_dir: Path) -> None:
         load_annotations(out_dir / "annotations.jsonl", store)
     for ckpt in out_dir.glob("*.cfp"):
         load_checkpoint(ckpt)
-    if (out_dir / "metrics.json").exists():
-        obj = json.loads((out_dir / "metrics.json").read_text(encoding="utf-8"))
-        for key in ("r1", "r5", "r10", "medr", "n_queries", "gallery_mode"):
-            if key not in obj:
-                raise ValueError(f"metrics.json missing {key!r}")
+    if (path := out_dir / "metrics.json").exists():
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        keys = ("r1", "r5", "r10", "medr", "n_queries", "gallery_mode")
+        if not (isinstance(obj, dict) and obj.keys() >= set(keys)):
+            raise ValueError(f"{path}: expected a JSON object with keys {', '.join(keys)}")
     for name in ("cotrain_log.jsonl", "edits.jsonl"):
         path = out_dir / name
         if path.exists():
@@ -101,10 +104,13 @@ def _check_outputs(out_dir: Path) -> None:
     for name in ("iou_hist.csv", "iou_hist_gt.csv"):
         path = out_dir / name
         if path.exists():
-            with path.open(encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-            if rows[0] != ["bin_lo", "bin_hi", "count"] or rows[-1][0] != "mean":
-                raise ValueError(f"{name}: unexpected layout")
+            try:
+                with path.open(encoding="utf-8") as fh:
+                    rows = list(csv.reader(fh))
+            except (ValueError, csv.Error) as exc:
+                raise ValueError(f"{path}: unreadable CSV: {exc}") from exc
+            if rows[:1] != [["bin_lo", "bin_hi", "count"]] or rows[-1][:1] != ["mean"]:
+                raise ValueError(f"{path}: unexpected layout")
 
 
 def cmd_synth(run: RunConfig, args) -> int:
@@ -199,14 +205,7 @@ def cmd_eval(run: RunConfig, args) -> int:
 
 
 def _parse_values(raw: str) -> list:
-    values = []
-    for token in raw.split(","):
-        token = token.strip()
-        try:
-            values.append(json.loads(token))
-        except json.JSONDecodeError:
-            values.append(token)
-    return values
+    return [_json_or_str(token.strip(), "--values") for token in raw.split(",")]
 
 
 def cmd_ablate(run: RunConfig, args) -> int:

@@ -94,6 +94,16 @@ def _typed(key: str, value: Any, default: Any) -> Any:
     raise ConfigError(f"{key} must be {type(default).__name__}, got {value!r}")
 
 
+def _json_or_str(raw: str, where: str) -> Any:
+    """`raw` as JSON when it parses, else `raw`; JSON nested too deep is a ConfigError naming `where`."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+    except RecursionError as exc:
+        raise ConfigError(f"{where}: JSON nested too deep") from exc
+
+
 def parse_set(arg: str) -> tuple[list[str], Any]:
     """Parse one --set K=V override; V is JSON when it parses, else a string."""
     if "=" not in arg:
@@ -102,11 +112,7 @@ def parse_set(arg: str) -> tuple[list[str], Any]:
     key = key.strip()
     if not key:
         raise ConfigError(f"--set has empty key: {arg!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key.split("."), value
+    return key.split("."), _json_or_str(raw, f"--set {key}")
 
 
 def apply_set(cfg: dict, path: list[str], value: Any) -> None:
@@ -130,9 +136,9 @@ def load_config_dict(path: str | Path | None, sets: list[str] | None = None) -> 
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ConfigError(f"config file {path}: cannot read: {exc.strerror or exc}") from exc
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

@@ -655,14 +655,10 @@ def clip_features(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> 
     return segment_features(store, ref.video_id, segment_grid(ref.interval, seg_len_s))
 
 
-def clip_mean(store: FeatureStore, ref: ClipRef, seg_len_s: float = 1.0) -> np.ndarray:
-    """Mean of `clip_features` rows: the pooled vector `embed_clip` projects."""
-    return clip_means(store, [ref], seg_len_s)[0]
-
-
 def clip_means(store: FeatureStore, refs: list[ClipRef], seg_len_s: float = 1.0) -> np.ndarray:
-    """The `clip_mean` rows of `refs`, stacked, pooled a block of clips per array
-    pass; nothing is kept, so a caller that needs the rows again keeps them."""
+    """Each ref's mean of `clip_features` rows (the pooled vector `embed_clip`
+    projects), stacked, pooled a block of clips per array pass; nothing is
+    kept, so a caller that needs the rows again keeps them."""
     origin = np.array([ref.interval.start_s for ref in refs])
     clip_end = np.array([ref.interval.end_s for ref in refs])
     n_seg = segment_counts(clip_end - origin, seg_len_s)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, write_jsonl
-from .encoder import EncoderParams, segment_similarities
+from .encoder import EncoderParams, _segment_scores, embed_captions, segment_similarities  # noqa: F401
 from .timeline import Interval, SegmentGrid, check_seg_len, ious, segment_bounds, segment_counts
 
 # Bytes of one block's (B, C, C) float64 consensus IoU tensor: 32 captions
@@ -117,26 +117,21 @@ def _lead_bound(c: int) -> float:
 
 
 def _decide(
-    sims_rows: list[np.ndarray], origin: np.ndarray, seg_len_s: float, n_seg: np.ndarray,
+    tops: list[list[int]], origin: np.ndarray, seg_len_s: float, n_seg: np.ndarray,
     clip_end: np.ndarray, initials: list[Interval], cfg: EditConfig,
 ) -> list[tuple[Interval, bool, tuple[int, ...], tuple[int, int] | None]]:
     """`edit_from_sims` for a block of rows, done as arrays over the block.
 
-    Row i's grid is (origin[i], seg_len_s, n_seg[i], clip_end[i]).
-    NaN-padded negated scores sort stably behind every real score, NaN
-    included, so a row's first min(k, n) columns are `top_k_segments`'.
-    `np.triu_indices` pairs them in `enumerate_candidates`' order, bounded
-    by `segment_bounds`. A row whose best `np.sum` of `ious` leads every
-    other by more than `_lead_bound` keeps that winner; any other row (a
-    near or exact tie) runs `consensus_argmax` on its own candidates.
+    Row i's grid is (origin[i], seg_len_s, n_seg[i], clip_end[i]) and tops[i]
+    is its `top_k_segments` list. `np.triu_indices` pairs the lists, padded to
+    the widest, in `enumerate_candidates`' order, bounded by `segment_bounds`.
+    A row whose best `np.sum` of `ious` leads every other by more than
+    `_lead_bound` keeps that winner; any other row (a near or exact tie) runs
+    `consensus_argmax` on its own candidates.
     """
-    m = np.array([min(s.size, cfg.k) for s in sims_rows])  # a Python min: k may pass int64
+    m = np.array([len(t) for t in tops])
     k = max(2, int(m.max()))
-    scores = np.full((len(sims_rows), max(k, max(s.size for s in sims_rows))), np.nan)
-    for row, s in zip(scores, sims_rows):
-        row[:s.size] = s
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-    topk = np.sort(np.where(np.arange(k) < m[:, None], order, scores.shape[1]), axis=1)
+    topk = np.array([t + [0] * (k - len(t)) for t in tops])
     ia, ib = np.triu_indices(k, 1)
     a, b = topk[:, ia], topk[:, ib]
     valid = ib < m[:, None]
@@ -157,9 +152,9 @@ def _decide(
     init = np.array([(iv.start_s, iv.end_s) for iv in initials])
     applied = (ious(init[:, 0], init[:, 1], starts, ends) >= cfg.iou_gate) & (m >= 2)
     return [
-        (Interval(s, e) if ok else iv, ok, tuple(top[:mi]), (p, q) if mi >= 2 else None)
-        for iv, s, e, p, q, top, mi, ok in zip(initials, starts.tolist(), ends.tolist(), a.tolist(),
-                                               b.tolist(), topk.tolist(), m.tolist(), applied.tolist())
+        (Interval(s, e) if ok else iv, ok, tuple(top), (p, q) if len(top) >= 2 else None)
+        for iv, s, e, p, q, top, ok in zip(initials, starts.tolist(), ends.tolist(), a.tolist(),
+                                           b.tolist(), tops, applied.tolist())
     ]
 
 
@@ -170,11 +165,10 @@ def edit_from_sims(
 
     Returns (edited, applied, topk_indices, winner_pair).
     """
-    sims = np.asarray(sims)
     top = top_k_segments(sims, cfg.k)
     if len(top) >= 2 and top[-1] >= grid.n_segments:  # more scores than segments
         grid.segment(next(t for t in top if t >= grid.n_segments))  # enumerate_candidates' error
-    return _decide([sims], np.array([grid.origin_s]), grid.seg_len_s, np.array([grid.n_segments]),
+    return _decide([top], np.array([grid.origin_s]), grid.seg_len_s, np.array([grid.n_segments]),
                    np.array([grid.clip_end_s]), [initial], cfg)[0]
 
 
@@ -196,11 +190,11 @@ def edit_all(
     clips: ClipAssignment,
     cfg: EditConfig,
 ) -> tuple[ClipAssignment, list[EditResult]]:
-    """Edit every assigned clip; results ordered by caption_id. Every clip is
-    pooled a block at a time (`corpus._pool_blocks`) and each caption is
-    scored on its own rows of the block; then `_decide` edits blocks of
-    captions sized by `_IOU_BLOCK_BYTES` for the largest Top-K the clips can
-    have, and leaves a clip of one segment as it is."""
+    """Edit every assigned clip; results ordered by caption_id. The captions are
+    embedded in one call, every clip is pooled a block at a time (`corpus._pool_blocks`)
+    and each caption keeps the `top_k_segments` of its scores on its own rows; then
+    `_decide` edits blocks of captions sized by `_IOU_BLOCK_BYTES` for the largest
+    Top-K the clips can have, and leaves a clip of one segment as it is."""
     items = sorted(clips.items())
     recs = []
     for caption_id, ref in items:
@@ -215,18 +209,18 @@ def edit_all(
     n_seg = segment_counts(clip_end - origin, cfg.seg_len_s)
     k = min(cfg.k, int(n_seg.max(initial=1)))  # a Python min: k may pass int64
     block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, k * (k - 1) // 2) ** 2))
-    sims = []
-    for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, cfg.seg_len_s):
-        for (caption_id, _), f, n in zip(items[lo:hi], first.tolist(), n_seg[lo:hi].tolist()):
-            cap = store.caption_features[caption_id]
-            try:
-                sims.append(segment_similarities(teacher, segs[f:f + n], cap))
-            except ValueError as exc:
-                raise ValueError(f"editing caption {caption_id!r}: {exc}") from exc
+    ids = [caption_id for caption_id, _ in items]
+    caps = embed_captions(teacher, [store.caption_features[cid] for cid in ids], ids)
+    # each row equals `embed_caption`'s bit for bit; a fresh copy scores as that one-row call does
+    tops = [
+        top_k_segments(_segment_scores(teacher, segs[f:f + n], caps[i].copy()), cfg.k)
+        for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, cfg.seg_len_s)
+        for i, f, n in zip(range(lo, hi), first.tolist(), n_seg[lo:hi].tolist())
+    ]
     results: list[EditResult] = []
     for lo in range(0, len(items), block):
         hi = lo + block
-        decided = _decide(sims[lo:hi], origin[lo:hi], cfg.seg_len_s, n_seg[lo:hi], clip_end[lo:hi],
+        decided = _decide(tops[lo:hi], origin[lo:hi], cfg.seg_len_s, n_seg[lo:hi], clip_end[lo:hi],
                           initials[lo:hi], cfg)
         results += [
             EditResult(caption_id, ref.interval, *d[:2], n, *d[2:])

@@ -163,7 +163,11 @@ def segment_similarities(
     teacher: EncoderParams, seg_feats: np.ndarray, cap_feat: np.ndarray
 ) -> np.ndarray:
     """Cosine of each individually embedded segment against the caption."""
-    return _unit(seg_feats @ teacher.W_v.T + teacher.b_v)[0] @ embed_caption(teacher, cap_feat)
+    return _segment_scores(teacher, seg_feats, embed_caption(teacher, cap_feat))
+
+
+def _segment_scores(teacher: EncoderParams, seg_feats: np.ndarray, cap_emb: np.ndarray) -> np.ndarray:
+    return _unit(seg_feats @ teacher.W_v.T + teacher.b_v)[0] @ cap_emb
 
 
 @np.errstate(over="ignore", invalid="ignore")  # `_unit` rejects a row that overflowed

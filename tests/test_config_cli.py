@@ -37,6 +37,10 @@ def synth_dict(**over):
     return cfg
 
 
+# JSON nested deeper than the parser's recursion limit
+DEEP = "[" * 100_000
+
+
 def write_cfg(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -269,6 +273,27 @@ class TestCliExitCodes:
         bad.write_text("[1,2")
         assert main(["synth", "--config", str(bad)]) == 2
 
+    def test_config_directory_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["synth", "--config", str(tmp_path)]) == 2
+        assert f"config error: config file {tmp_path}: cannot read: " in capsys.readouterr().err
+
+    def test_deep_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP)
+        assert main(["synth", "--config", str(deep)]) == 2
+        assert f"config error: {deep}: invalid JSON: " in capsys.readouterr().err
+
+    def test_deep_set_value_exits_2_naming_key(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["synth", "--config", cfg_path, "--out", out, "--set", "seed=" + DEEP]) == 2
+        assert "config error: --set seed: JSON nested too deep" in capsys.readouterr().err
+
+    def test_deep_ablate_value_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["ablate", "--config", cfg_path, "--out", out,
+                     "--axis", "topk", "--values", "4," + DEEP]) == 2
+        assert "config error: --values: JSON nested too deep" in capsys.readouterr().err
+
     def test_infeasible_synth_placement(self, tmp_path, capsys):
         cfg_path, out = tiny_cli_args(tmp_path)
         code = main(["synth", "--config", cfg_path, "--out", out,
@@ -486,7 +511,7 @@ class TestCliExitCodes:
     def test_numeric_error_in_editor_exits_3(self, tmp_path, monkeypatch):
         def boom(*args):
             raise NumericError("non-finite segment similarity")
-        monkeypatch.setattr("clipedit.editor.segment_similarities", boom)
+        monkeypatch.setattr("clipedit.editor._segment_scores", boom)
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["cotrain", "--config", cfg_path, "--out", out]) == 3
 
@@ -580,6 +605,19 @@ class TestCliSynth:
     def test_check_flag_revalidates(self, tmp_path):
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["synth", "--config", cfg_path, "--out", out, "--check"]) == 0
+
+    @pytest.mark.parametrize("name, text, what", [
+        ("iou_hist.csv", "", "unexpected layout"),
+        ("iou_hist_gt.csv", "bin_lo,bin_hi,count\nmean,,0.5\n\n", "unexpected layout"),
+        ("metrics.json", "5\n", "expected a JSON object with keys r1, r5, "),
+        ("metrics.json", '{"r1":\n', "invalid JSON: "),
+    ], ids=["empty-csv", "blank-last-csv-line", "metrics-int", "metrics-malformed"])
+    def test_check_stale_output_exits_2_naming_it(self, tmp_path, capsys, name, text, what):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        Path(out).mkdir()
+        (Path(out) / name).write_text(text)
+        assert main(["synth", "--config", cfg_path, "--out", out, "--check"]) == 2
+        assert f"validation error: {Path(out) / name}: {what}" in capsys.readouterr().err
 
     def test_check_names_the_bad_jsonl_line(self, tmp_path):
         (tmp_path / "edits.jsonl").write_text('{"caption_id": "c1"}\n{"caption_id" "c2"}\n')

@@ -20,7 +20,6 @@ from clipedit.corpus import (
     atomic_write,
     load_annotations,
     clip_features,
-    clip_mean,
     clip_means,
     load_features,
     read_feat_matrix,
@@ -608,26 +607,26 @@ def test_uncovered_segment_takes_the_nearest_row_lower_on_a_tie(case):
 class TestClipMean:
     def test_equals_mean_of_clip_features_and_is_kept(self, tiny_store):
         ref = ClipRef("v1", Interval(1.5, 5.0))
-        got = clip_mean(tiny_store, ref)
+        got = clip_means(tiny_store, [ref])[0]
         assert np.array_equal(got, clip_features(tiny_store, ref).mean(axis=0))
 
     def test_seg_len_is_part_of_the_key(self, tiny_store):
         ref = ClipRef("v1", Interval(0.0, 5.0))
-        assert np.allclose(clip_mean(tiny_store, ref, 1.0), 2.0)
-        assert np.allclose(clip_mean(tiny_store, ref, 2.0), (0.5 + 3.0) / 2.0)
+        assert np.allclose(clip_means(tiny_store, [ref], 1.0)[0], 2.0)
+        assert np.allclose(clip_means(tiny_store, [ref], 2.0)[0], (0.5 + 3.0) / 2.0)
 
     def test_replaced_record_is_pooled_again(self, tiny_store):
         ref = ClipRef("v1", Interval(2.0, 6.0))
-        stale = clip_mean(tiny_store, ref).copy()
+        stale = clip_means(tiny_store, [ref])[0].copy()
         rows = tiny_store.videos["v1"].features + 10.0
         tiny_store.videos["v1"] = VideoRecord("v1", 8.0, rows)
-        fresh = clip_mean(tiny_store, ref)
+        fresh = clip_means(tiny_store, [ref])[0]
         assert np.array_equal(fresh, rows[2:6].mean(axis=0))
         assert not np.array_equal(fresh, stale)
 
     def test_unknown_video(self, tiny_store):
         with pytest.raises(ValueError, match="unknown video_id"):
-            clip_mean(tiny_store, ClipRef("vX", Interval(0.0, 2.0)))
+            clip_means(tiny_store, [ClipRef("vX", Interval(0.0, 2.0))])[0]
 
 
 @st.composite
@@ -696,12 +695,12 @@ def test_clip_means_match_row_loop(case):
     ]
     with budget_patch(budget, d):
         for ref in refs[:n_before]:  # earlier calls leave no state behind
-            clip_mean(store, ref, seg_len)
+            clip_means(store, [ref], seg_len)[0]
         got = clip_means(store, refs, seg_len)
     assert got.shape == (len(refs), d) and got.dtype == np.float32
     for ref, row, want in zip(refs, got, expect):
         assert np.array_equal(row, want)
-        assert np.array_equal(clip_mean(store, ref, seg_len), want)
+        assert np.array_equal(clip_means(store, [ref], seg_len)[0], want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -718,10 +717,10 @@ def test_edit_all_pools_like_row_loop(case):
         store.caption_features[cid] = np.ones(d, dtype=np.float32)
     seen = []
 
-    def record(teacher, seg_feats, cap_feat):
+    def record(teacher, seg_feats, cap_emb):
         seen.append(seg_feats.copy())
         return np.zeros(seg_feats.shape[0])
-    with budget_patch(budget, d), mock.patch("clipedit.editor.segment_similarities", record):
+    with budget_patch(budget, d), mock.patch("clipedit.editor._segment_scores", record):
         edit_all(EncoderParams.identity(d), store, assignment, EditConfig(k=3, seg_len_s=seg_len))
     grids = [(ref, segment_grid(ref.interval, seg_len)) for _, ref in sorted(assignment.items())]
     expect = [segment_features_ref(store, ref.video_id, g) for ref, g in grids]

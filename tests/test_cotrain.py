@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from clipedit.corpus import (
-    ClipRef, FeatureStore, SynthConfig, VideoRecord, clip_mean, synth_corpus,
+    ClipRef, FeatureStore, SynthConfig, VideoRecord, clip_means, synth_corpus,
 )
 from clipedit.cotrain import (
     CoTrainConfig,
@@ -188,7 +188,7 @@ class TestControlSet:
         p.b_v[:] = 0.1
         sims = {
             cid: similarity(
-                embed_clip(p, clip_mean(store, clips[cid])[None]),
+                embed_clip(p, clip_means(store, [clips[cid]])[0][None]),
                 embed_caption(p, store.caption_features[cid]),
             )
             for cid in sorted(clips)

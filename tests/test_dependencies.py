@@ -1,5 +1,5 @@
 """The package's only runtime dependency outside the standard library is numpy,
-each file format has one parser, and the initial-clip and unit-norm rules have one copy each."""
+each file format has one parser, and the initial-clip, unit-norm and Top-K rules have one copy each."""
 
 import ast
 import sys
@@ -81,3 +81,9 @@ def test_embedding_norm_rule_has_one_copy():
     so a second copy of the unit-norm rule fails here."""
     users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "norm")]
     assert sorted(users) == [("corpus.py", "_unit"), ("encoder.py", "_unit")]
+
+
+def test_top_k_rule_has_one_copy():
+    """Only `editor.top_k_segments` reads `.argsort` in the editor, so a second
+    copy of the Top-K rule (a sort of segment scores) fails here."""
+    assert top_level_uses(ROOT / "src" / "clipedit" / "editor.py", "argsort") == ["top_k_segments"]

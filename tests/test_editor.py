@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clipedit import editor
+from clipedit import editor, encoder
 from clipedit.corpus import ClipRef, FeatureStore, VideoRecord, segment_features
 from clipedit.editor import (
     EditConfig,
@@ -215,7 +215,7 @@ class TestEditClip:
     def test_zero_norm_caption_raises_for_every_clip(self, clip):
         store = make_recovery_store()
         store.caption_features["c1"] = np.zeros(8, dtype=np.float32)
-        with pytest.raises(ValueError, match=r"^editing caption 'c1': degenerate embedding"):
+        with pytest.raises(ValueError, match=r"^degenerate embedding: zero-norm caption 'c1'$"):
             edit_clip(EncoderParams.identity(8), store, "c1", ClipRef("v1", clip), EditConfig(k=4))
 
     def test_gate_one_rejects_changed_boundary(self):
@@ -329,6 +329,13 @@ class TestEditAll:
         store, _ = self.build()
         new, results = edit_all(EncoderParams.identity(6), store, {}, EditConfig())
         assert new == {} and results == []
+
+    @pytest.mark.parametrize("n_videos", [1, 3, 20])
+    def test_captions_embedded_in_one_call(self, n_videos):
+        store, clips = self.build(n_videos)  # two captions a video
+        with patch.object(encoder, "_embed_rows", wraps=encoder._embed_rows) as embed:
+            edit_all(EncoderParams.identity(6), store, clips, EditConfig(k=5))
+        assert embed.call_count == 1 and len(embed.call_args.args[0]) == 2 * n_videos
 
     def test_zero_gate_applies_everywhere(self):
         store, clips = self.build()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clipedit.evalrep as evalrep
-from clipedit.corpus import ClipRef, FeatureStore, VideoRecord, clip_mean
+from clipedit.corpus import ClipRef, FeatureStore, VideoRecord, clip_means
 from clipedit.encoder import EncoderParams, embed_caption, embed_captions, embed_clip, embed_clips
 from clipedit.evalrep import (
     RetrievalMetrics,
@@ -138,7 +138,7 @@ def ranks_ref(params, store, queries, gallery):
     gallery_ids = sorted(gallery)
     gal_pos = {cid: i for i, cid in enumerate(gallery_ids)}
     clip_embs = np.stack([
-        embed_clip(params, clip_mean(store, gallery[cid])[None])
+        embed_clip(params, clip_means(store, [gallery[cid]])[0][None])
         for cid in gallery_ids
     ])
     ranks = []
@@ -159,7 +159,7 @@ def metrics_ref(params, store, queries, gallery):
 def kernel_ranks(params, store, queries, gallery):
     """`evalrep._query_ranks` on the same embeddings `evaluate_retrieval` builds."""
     gallery_ids = sorted(gallery)
-    U = embed_clips(params, [clip_mean(store, gallery[cid]) for cid in gallery_ids])
+    U = embed_clips(params, [clip_means(store, [gallery[cid]])[0] for cid in gallery_ids])
     V = embed_captions(params, [store.caption_features[q] for q in queries])
     pos = {cid: i for i, cid in enumerate(gallery_ids)}
     return evalrep._query_ranks(U, V, np.array([pos[q] for q in queries])).tolist()
@@ -177,7 +177,7 @@ def random_store(rng, n, d, dtype, n_videos=None, cap_noise=0.5):
         start = float(rng.integers(0, 8))
         ref = ClipRef(f"v{rng.integers(n_videos)}", Interval(start, start + float(rng.integers(1, 5))))
         gallery[f"c{i:03d}"] = ref
-        cap = clip_mean(store, ref) + cap_noise * rng.standard_normal(d)
+        cap = clip_means(store, [ref])[0] + cap_noise * rng.standard_normal(d)
         store.caption_features[f"c{i:03d}"] = cap.astype(dtype)
     return store, gallery
 
@@ -251,7 +251,7 @@ class TestBatchedRetrievalExact:
         for cid in ("c001", "c002", "c003"):
             gallery[cid] = gallery["c000"]
             store.caption_features[cid] = store.caption_features["c000"]
-        store.caption_features["c004"] = clip_mean(store, gallery["c004"]).copy()
+        store.caption_features["c004"] = clip_means(store, [gallery["c004"]])[0].copy()
         p = EncoderParams.identity(6, dtype=dtype)
         block_bytes(8, np.dtype(dtype).itemsize)
         queries = sorted(gallery)
@@ -281,7 +281,7 @@ class TestBatchedRetrievalExact:
         p = EncoderParams.identity(d)
         block_bytes(4, 8)
         queries = sorted(gallery)
-        gemv = embed_clips(p, [clip_mean(store, gallery[c]) for c in queries]) @ rows[0]
+        gemv = embed_clips(p, [clip_means(store, [gallery[c]])[0] for c in queries]) @ rows[0]
         margin = evalrep._margin(d, np.dtype(np.float64))
         assert 0.0 < gemv[0] - gemv[1] < margin / 4
         calls = counting_rank_of(monkeypatch)
