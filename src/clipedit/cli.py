@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, _json_or_str, load_config_dict, build_run_config
+from .config import ConfigError, RunConfig, _json_or_str, _merge_at, load_config_dict, build_run_config
 from .corpus import (
     CaptionAnnotation,
     ClipRef,
@@ -209,19 +209,16 @@ def _parse_values(raw: str) -> list:
 
 
 def cmd_ablate(run: RunConfig, args) -> int:
-    path = ABLATE_AXES[args.axis]
+    path = ABLATE_AXES[args.axis].split(".")
     values = _parse_values(args.values)
-    if not values:
-        raise ConfigError("ablate needs at least one value")
     out = Path(run.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # no ablation axis changes the corpus: load it once
     corpus = _load_corpus(run)
+    cfg = load_config_dict(args.config, args.set)
     rows = []
     for value in values:
-        sets = list(args.set or []) + [f"{path}={json.dumps(value)}"]
-        sub_cfg = load_config_dict(args.config, sets)
-        sub_run = build_run_config(sub_cfg)
+        sub_run = build_run_config(_merge_at(cfg, path, value))
         sub_name = f"{args.axis}_{str(value).replace(':', '-').replace('/', '-')}"
         sub_run = replace(sub_run, out_dir=str(out / sub_name))
         metrics = run_cotrain_pipeline(sub_run, args.check, corpus)

@@ -53,16 +53,23 @@ _NULLABLE: dict[str, Any] = {"features_dir": "", "annotations_file": "", "synth"
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
+    """`base` with `override` merged in, the one override rule: an object merges into its section
+    (over `_NULLABLE`'s defaults when the section is null), any other value replaces the old one."""
     out = dict(base)
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, here)
-        else:
-            out[key] = value
+        into = _NULLABLE.get(here) if base[key] is None else base[key]
+        both = isinstance(into, dict) and isinstance(value, dict)
+        out[key] = _merge(into, value, here) if both else value
     return out
+
+
+def _shown(value: Any, limit: int = 80) -> str:
+    """`repr(value)`, cut to `limit` characters, for echoing a user value in a message."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
 
 
 def _typed(key: str, value: Any, default: Any) -> Any:
@@ -75,23 +82,23 @@ def _typed(key: str, value: Any, default: Any) -> Any:
         return None if value is None else _typed(key, value, _NULLABLE[key])
     if isinstance(default, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be object, got {value!r}")
+            raise ConfigError(f"{key} must be object, got {_shown(value)}")
         return {
             k: _typed(f"{key}.{k}" if key else k, v, default[k])
             for k, v in _merge(default, value, key).items()
         }
     if isinstance(default, list):
         if not (isinstance(value, (list, tuple)) and len(value) == len(default)):
-            raise ConfigError(f"{key} must be a list of {len(default)}, got {value!r}")
-        return [_typed(key, v, d) for v, d in zip(value, default)]
+            raise ConfigError(f"{key} must be a list of {len(default)}, got {_shown(value)}")
+        return tuple(_typed(key, v, d) for v, d in zip(value, default))  # as the dataclasses hold it
     if isinstance(default, float):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if abs(value) <= sys.float_info.max:  # False for NaN and +-Infinity
                 return float(value)
-            raise ConfigError(f"{key} must be a finite float, got {value!r}")
+            raise ConfigError(f"{key} must be a finite float, got {_shown(value)}")
     elif isinstance(value, type(default)) and isinstance(value, bool) == isinstance(default, bool):
         return value
-    raise ConfigError(f"{key} must be {type(default).__name__}, got {value!r}")
+    raise ConfigError(f"{key} must be {type(default).__name__}, got {_shown(value)}")
 
 
 def _json_or_str(raw: str, where: str) -> Any:
@@ -107,31 +114,23 @@ def _json_or_str(raw: str, where: str) -> Any:
 def parse_set(arg: str) -> tuple[list[str], Any]:
     """Parse one --set K=V override; V is JSON when it parses, else a string."""
     if "=" not in arg:
-        raise ConfigError(f"--set expects dotted.path=value, got {arg!r}")
+        raise ConfigError(f"--set expects dotted.path=value, got {_shown(arg)}")
     key, _, raw = arg.partition("=")
     key = key.strip()
     if not key:
-        raise ConfigError(f"--set has empty key: {arg!r}")
+        raise ConfigError(f"--set has empty key: {_shown(arg)}")
     return key.split("."), _json_or_str(raw, f"--set {key}")
 
 
-def apply_set(cfg: dict, path: list[str], value: Any) -> None:
-    node = cfg
-    for part in path[:-1]:
-        if not isinstance(node.get(part), dict):
-            if part == "synth" and node.get(part) is None:
-                node[part] = dict(SYNTH_DEFAULTS)
-            else:
-                raise ConfigError(f"unknown config key {'.'.join(path)!r}")
-        node = node[part]
-    leaf = path[-1]
-    if leaf not in node:
-        raise ConfigError(f"unknown config key {'.'.join(path)!r}")
-    node[leaf] = value
+def _merge_at(cfg: dict, path: list[str], value: Any) -> dict:
+    """`cfg` with `value` merged in at the dotted `path`, as the one-key object `{"a": {"b": value}}`."""
+    for part in reversed(path):
+        value = {part: value}
+    return _merge(cfg, value)
 
 
 def load_config_dict(path: str | Path | None, sets: list[str] | None = None) -> dict:
-    """Defaults, overlaid by the JSON file, overlaid by --set overrides."""
+    """Defaults, with the JSON file and then each --set override merged in by `_merge`."""
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path is not None:
         try:
@@ -142,11 +141,9 @@ def load_config_dict(path: str | Path | None, sets: list[str] | None = None) -> 
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        if isinstance(loaded.get("synth"), dict):
-            loaded["synth"] = _merge(SYNTH_DEFAULTS, loaded["synth"], "synth")
         cfg = _merge(cfg, loaded)
     for arg in sets or []:
-        apply_set(cfg, *parse_set(arg))
+        cfg = _merge_at(cfg, *parse_set(arg))
     return cfg
 
 
@@ -163,10 +160,10 @@ class RunConfig:
     cotrain: CoTrainConfig
 
 
-def _section(name: str, cls, **kwargs):
-    """`cls(**kwargs)`; its ValueError becomes a ConfigError that starts with `name: `."""
+def _section(name: str, make, **kwargs):
+    """`make(**kwargs)`; its ValueError becomes a ConfigError that starts with `name: `."""
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
@@ -176,17 +173,13 @@ def build_run_config(cfg: dict) -> RunConfig:
     cfg = _typed("", cfg, DEFAULTS)
     synth = cfg["synth"]
     if synth is not None:
-        cfg["synth"] = _section("synth", SynthConfig,
-                                **dict(synth, gt_len_range=tuple(synth["gt_len_range"])))
+        cfg["synth"] = _section("synth", SynthConfig, **synth)
     has_real = cfg["features_dir"] is not None
     if has_real == (synth is not None):
         raise ConfigError("exactly one of features_dir or synth must be set")
     if has_real and cfg["annotations_file"] is None:
         raise ConfigError("features_dir requires annotations_file")
-    try:
-        init_strategy = InitStrategy.parse(cfg["init_strategy"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    init_strategy = _section("init_strategy", InitStrategy.parse, text=cfg["init_strategy"])
     train = _section("train", TrainConfig, **cfg.pop("train"))
     edit = _section("edit", EditConfig, **cfg.pop("edit"))
     cotrain = _section("cotrain", CoTrainConfig, train=train, edit=edit, **cfg.pop("cotrain"))

@@ -446,8 +446,11 @@ def sample_timestamp(gt: Interval, rng: np.random.Generator) -> float:
     return float(rng.uniform(gt.start_s, gt.end_s))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _unit(v: np.ndarray, key: str = "synth.seed") -> np.ndarray:
+    norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:  # False for NaN; `key` is the setting behind `v`
+        raise ValueError(f"{key}: a synthetic feature row has norm {norm}, which cannot be scaled to 1")
+    return v / norm
 
 
 def _place_gt_intervals(cfg: SynthConfig, rng: np.random.Generator) -> list[Interval]:
@@ -474,11 +477,14 @@ def _place_gt_intervals(cfg: SynthConfig, rng: np.random.Generator) -> list[Inte
     cursor = 0.0
     for i in range(k):
         cursor += float(gaps[i])
-        out.append(Interval(cursor, cursor + float(lengths[i])))
-        cursor += float(lengths[i])
+        if not cursor < (end := cursor + float(lengths[i])):
+            raise ValueError(f"synth.gt_len_range {cfg.gt_len_range}: a gt at {cursor} s has no width")
+        out.append(Interval(cursor, end))
+        cursor = end
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a row that overflows fails `_unit`'s norm check
 def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation]]:
     """Generate a corpus with known ground-truth alignments.
 
@@ -504,7 +510,8 @@ def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation
             feats = np.empty((n_rows, cfg.dim))
             for row, owner in enumerate(owners):
                 g = rng.standard_normal(cfg.dim)
-                feats[row] = _unit(g) if owner < 0 else _unit(latents[owner] + cfg.noise_sigma * g)
+                feats[row] = (_unit(g) if owner < 0 else
+                              _unit(latents[owner] + cfg.noise_sigma * g, "synth.noise_sigma"))
             store.videos[video_id] = VideoRecord(
                 video_id=video_id,
                 duration_s=float(n_rows),
@@ -512,7 +519,8 @@ def synth_corpus(cfg: SynthConfig) -> tuple[FeatureStore, list[CaptionAnnotation
             )
             for j, gt in enumerate(gts):
                 caption_id = f"{video_id}_c{j:02d}"
-                cap = _unit(latents[j] + cfg.caption_noise_sigma * rng.standard_normal(cfg.dim))
+                cap = _unit(latents[j] + cfg.caption_noise_sigma * rng.standard_normal(cfg.dim),
+                            "synth.caption_noise_sigma")
                 store.caption_features[caption_id] = cap.astype(np.float32)
                 annotations.append(
                     CaptionAnnotation(

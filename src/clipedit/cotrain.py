@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore, clip_means
+from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore
 from .editor import EditConfig, EditResult, edit_all
 from .encoder import (
     EncoderParams,
@@ -155,9 +155,9 @@ def select_control_set(
     """Captions whose clip-caption similarity strictly exceeds gamma, with
     their current boundaries frozen."""
     ids = sorted(clips)
-    pooled = clip_means(store, [clips[cid] for cid in ids])
+    pooled, caps = _train_rows(store, clips)
     U = embed_clips(params, pooled, ids)
-    V = embed_captions(params, [store.caption_features[cid] for cid in ids], ids)
+    V = embed_captions(params, caps, ids)
     # the rows equal the one-item embeddings bit for bit; a dot of fresh
     # copies is the exact score a one-item `similarity` call gives
     keep = [i for i, (u, v) in enumerate(zip(U, V)) if similarity(u.copy(), v.copy()) > gamma]

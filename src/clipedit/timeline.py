@@ -143,8 +143,8 @@ class InitStrategy:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown init strategy {self.variant!r}; expected one of {VARIANTS}")
         if self.variant == "fixed_half_width":
-            if self.half_width_s is None or not self.half_width_s > 0:
-                raise ValueError("fixed_half_width requires half_width_s > 0")
+            if self.half_width_s is None or not 0 < self.half_width_s < math.inf:  # False for NaN
+                raise ValueError("fixed_half_width requires a finite half_width_s > 0")
         elif self.half_width_s is not None:
             raise ValueError(f"half_width_s is only valid for fixed_half_width, not {self.variant}")
 
@@ -210,9 +210,10 @@ def initial_clips(
     else:  # next_gap [t, next], prev_gap [prev, t], full_neighbors [prev, next]
         start = t if strategy.variant == "next_gap" else prev_t
         end = t if strategy.variant == "prev_gap" else next_t
-    # an edge taken from a missing (NaN) neighbor is the video's edge
-    named["start"] = start = np.clip(np.where(np.isnan(start), v0, start), v0, v1)
-    named["end"] = end = np.clip(np.where(np.isnan(end), v1, end), v0, v1)
+    # an edge taken from a missing (NaN) neighbor is the video's edge; as v0 <= v1 here, the rest is
+    # min(max(edge, v0), v1) bit for bit, -0.0 too (np.clip drops its sign when bounds are arrays)
+    named["start"] = start = np.where(np.isnan(start) | (start < v0), v0, np.where(start > v1, v1, start))
+    named["end"] = end = np.where(np.isnan(end) | (end > v1), v1, np.where(end < v0, v0, end))
     check(start < end, DegenerateClipError,
           "{strategy} at t={t} yields degenerate clip [{start}, {end}] in video [{v0}, {v1}]")
     return start, end

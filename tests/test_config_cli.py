@@ -1,7 +1,9 @@
 import csv
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from clipedit.config import (
     DEFAULTS,
     SYNTH_DEFAULTS,
     ConfigError,
-    apply_set,
     build_run_config,
     load_config_dict,
     parse_set,
@@ -117,17 +118,36 @@ class TestSetOverrides:
         with pytest.raises(ConfigError, match="dotted.path=value"):
             parse_set("seed")
 
-    def test_apply_set_unknown_key(self):
-        cfg = load_config_dict(None)
-        with pytest.raises(ConfigError, match="edit.kk"):
-            apply_set(cfg, ["edit", "kk"], 3)
+    def test_set_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'edit.kk'"):
+            load_config_dict(None, ["edit.kk=3"])
 
-    def test_apply_set_instantiates_synth_block(self):
-        cfg = load_config_dict(None)
-        assert cfg["synth"] is None
-        apply_set(cfg, ["synth", "dim"], 8)
-        assert cfg["synth"]["dim"] == 8
-        assert cfg["synth"]["n_train_videos"] > 0  # rest filled from defaults
+    def test_set_instantiates_synth_block(self):
+        cfg = load_config_dict(None, ["synth.dim=8"])
+        assert cfg["synth"] == dict(SYNTH_DEFAULTS, dim=8)  # rest filled from defaults
+
+    def test_set_object_merges_into_its_section(self):
+        cfg = load_config_dict(None, ['train={"batch_size": 4}', 'train={"epochs": 2}'])
+        assert cfg["train"] == dict(DEFAULTS["train"], batch_size=4, epochs=2)
+
+    def test_set_null_synth_then_key_starts_from_defaults(self, tmp_path):
+        path = write_cfg(tmp_path, synth_dict())
+        cfg = load_config_dict(path, ["synth=null", "synth.dim=4"])
+        assert cfg["synth"] == dict(SYNTH_DEFAULTS, dim=4)
+
+    def test_set_gives_what_the_file_gives(self, tmp_path):
+        from_sets = load_config_dict(None, ['synth={"dim": 8}', "synth.seed=1",
+                                            'train={"batch_size": 4}', "train.epochs=2"])
+        from_file = load_config_dict(write_cfg(tmp_path, {
+            "synth": {"dim": 8, "seed": 1}, "train": {"batch_size": 4, "epochs": 2}}))
+        assert from_sets == from_file
+
+    def test_long_value_is_shortened_in_messages(self):
+        long = "x" * 5000
+        for sets in ([f"seed={long}"], [long]):
+            with pytest.raises(ConfigError) as exc:
+                build_run_config(load_config_dict(None, sets))
+            assert len(str(exc.value)) < 120 and str(exc.value).endswith("...")
 
 
 class TestBuildRunConfig:
@@ -221,6 +241,59 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {setting.partition('=')[0]} must be ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sets,field,want", [
+        (['train={"batch_size": 4}', "train.epochs=2"], "train", {"batch_size": 4, "epochs": 2}),
+        (["train.epochs=2", 'train={"batch_size": 4}'], "train", {"batch_size": 4, "epochs": 2}),
+        (['synth={"dim": 8, "n_train_videos": 3}', "synth.seed=7"], "synth",
+         {"dim": 8, "n_train_videos": 3, "seed": 7}),
+    ], ids=["object-then-key", "key-then-object", "synth-object-then-key"])
+    def test_sets_merge_in_order_and_run(self, tmp_path, monkeypatch, sets, field, want):
+        runs = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda run, args: runs.append(run) or 0)
+        cfg_path, out = tiny_cli_args(tmp_path)
+        argv = ["synth", "--config", cfg_path, "--out", out]
+        assert main([*argv, *(arg for s in sets for arg in ("--set", s))]) == 0
+        (run,) = runs
+        got = run.synth if field == "synth" else run.cotrain.train
+        assert {key: getattr(got, key) for key in want} == want
+        # a key no override names keeps the file's value
+        assert (got.n_test_videos == 2) if field == "synth" else (got.learning_rate == 0.001)
+
+    def test_set_through_a_scalar_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["synth", "--config", cfg_path, "--out", out, "--set", "train.batch_size.x=1"]) == 2
+        assert capsys.readouterr().err == "config error: train.batch_size must be int, got {'x': 1}\n"
+
+    def test_nested_value_is_shortened_in_the_message(self, tmp_path, capsys):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        nested = "[" * 300 + "]" * 300
+        assert main(["synth", "--config", cfg_path, "--out", out, "--set", "seed=" + nested]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed must be int, got [[[[") and len(err) < 120
+
+    @pytest.mark.parametrize("setting,what", [
+        ("synth.caption_noise_sigma=1e200", "synth.caption_noise_sigma: a synthetic feature row has norm inf"),
+        ("synth.caption_noise_sigma=1e308", "synth.caption_noise_sigma: a synthetic feature row has norm inf"),
+        ("synth.noise_sigma=1e200", "synth.noise_sigma: a synthetic feature row has norm inf"),
+        ("synth.noise_sigma=1e308", "synth.noise_sigma: a synthetic feature row has norm inf"),
+        ("synth.gt_len_range=[1e-320,1e-320]", "synth.gt_len_range (1e-320, 1e-320): a gt at "),
+    ])
+    def test_synth_rejects_what_its_loader_would(self, tmp_path, capsys, setting, what):
+        # pytest turns a RuntimeWarning into an error, so none may print
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["synth", "--config", cfg_path, "--out", out, "--check", "--set", setting,
+                     "--set", "synth.align_gt_to_seconds=false"]) == 2
+        assert capsys.readouterr().err.startswith(f"validation error: {what}")
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("width", ["inf", "1e400", "nan"])
+    def test_non_finite_half_width_exits_2_naming_init_strategy(self, tmp_path, capsys, width):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["cotrain", "--config", cfg_path, "--out", out,
+                     "--set", f"init_strategy=fixed_half_width:{width}"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: init_strategy: fixed_half_width requires a finite half_width_s > 0\n"
 
     @pytest.mark.parametrize("value", ["1e-300", "0.005"])
     def test_seg_len_below_floor_exits_2(self, tmp_path, capsys, value):
@@ -712,6 +785,35 @@ class TestCliAblate:
         assert main(["ablate", "--config", cfg_path, "--out", out,
                      "--axis", "teacher_mode", "--values", "update,frozen,self"]) == 0
         assert len(loads) == 1
+
+    @pytest.mark.parametrize("axis,value", [
+        ("topk", 3), ("iou_gate", 0.25), ("gamma", 0.5), ("jitter", 0.1),
+        ("init_strategy", "fixed_half_width:5"), ("teacher_mode", "frozen"),
+    ])
+    def test_file_set_and_ablate_give_one_run_config(self, tmp_path, monkeypatch, axis, value):
+        assert set(ABLATE_AXES) == {"topk", "iou_gate", "gamma", "jitter", "init_strategy", "teacher_mode"}
+        path = ABLATE_AXES[axis].split(".")
+        in_file = synth_dict(train={"batch_size": 4, "epochs": 2})
+        section = in_file
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = value
+        from_file = build_run_config(load_config_dict(write_cfg(tmp_path, in_file, "file.json")))
+        cfg_path, out = tiny_cli_args(tmp_path)
+        sets = ["--set", 'train={"epochs": 2}']  # merged into the file's train section
+        from_set = build_run_config(load_config_dict(
+            cfg_path, [sets[1], f"{ABLATE_AXES[axis]}={json.dumps(value)}"]))
+        runs = []
+
+        def capture(run, check, corpus):
+            runs.append(run)
+            return SimpleNamespace(r_at={1: 0.0, 5: 0.0, 10: 0.0}, med_r=1.0)
+        monkeypatch.setattr(cli, "run_cotrain_pipeline", capture)
+        assert main(["ablate", "--config", cfg_path, "--out", out, *sets,
+                     "--axis", axis, "--values", str(value)]) == 0
+        (from_ablate,) = runs
+        assert replace(from_ablate, out_dir=from_file.out_dir) == from_set == from_file
+        assert from_file != build_run_config(load_config_dict(cfg_path, sets[1:]))
 
     def test_init_strategy_value_with_colon_gets_safe_dirname(self, tmp_path):
         cfg_path, out = tiny_cli_args(tmp_path)

@@ -440,6 +440,19 @@ class TestSynthCorpus:
                 video_len_s=30.0, gt_len_range=(3.0, 6.0), dim=4,
             )
 
+    @pytest.mark.parametrize("key", ["noise_sigma", "caption_noise_sigma"])
+    @pytest.mark.parametrize("sigma", [1e200, 1e308])
+    def test_overflowing_noise_is_rejected_naming_its_key(self, key, sigma):
+        # pytest turns a RuntimeWarning into an error, so none may print
+        cfg = SynthConfig(**{**self.CFG.__dict__, key: sigma})
+        with pytest.raises(ValueError, match=f"^synth.{key}: a synthetic feature row has norm inf"):
+            synth_corpus(cfg)
+
+    def test_gt_too_short_to_place_names_gt_len_range(self):
+        cfg = SynthConfig(**{**self.CFG.__dict__, "gt_len_range": (1e-320, 1e-320)})
+        with pytest.raises(ValueError, match=r"^synth.gt_len_range \(1e-320, 1e-320\): a gt at .* s has no width$"):
+            synth_corpus(cfg)
+
     def test_aligned_gt_on_integer_seconds(self):
         cfg = SynthConfig(
             n_train_videos=2, n_test_videos=0, captions_per_video=3,

@@ -427,9 +427,10 @@ class TestPoolingOncePerClipSet:
 
     @pytest.fixture
     def pool_calls(self, monkeypatch):
-        """The module of each `clip_means` call made through encoder, cotrain or evalrep."""
+        """The module of each `clip_means` call made through encoder or evalrep
+        (cotrain pools through `encoder._train_rows`)."""
         calls = []
-        for name in ("encoder", "cotrain", "evalrep"):
+        for name in ("encoder", "evalrep"):
             module = importlib.import_module(f"clipedit.{name}")
 
             def counting(store, refs, seg_len_s=1.0, _name=name, _real=module.clip_means):
@@ -456,7 +457,7 @@ class TestPoolingOncePerClipSet:
         res = cotrain(warm, assignment, self.store, self.cotrain_cfg("frozen", 3))
         assert len(res.log) == 3
         # select_control_set, then the one edit's clips; the monitor pools nothing
-        assert pool_calls == ["cotrain", "encoder"]
+        assert pool_calls == ["encoder", "encoder"]
 
     def test_updating_teacher_pools_once_per_edit(self, pool_calls, monkeypatch):
         module = importlib.import_module("clipedit.cotrain")
@@ -470,7 +471,7 @@ class TestPoolingOncePerClipSet:
         pool_calls.clear()
         cotrain(warm, assignment, self.store, self.cotrain_cfg("update", 8))
         assert len(edits) >= 2
-        assert pool_calls == ["cotrain"] + ["encoder"] * len(edits)
+        assert pool_calls == ["encoder"] * (1 + len(edits))  # select_control_set, then each edit
 
     def test_evaluate_retrieval_pools_once(self, pool_calls):
         gallery = build_initial_assignment(self.store, self.anns, MID, split="test")

@@ -1,5 +1,6 @@
 """The package's only runtime dependency outside the standard library is numpy,
-each file format has one parser, and the initial-clip, unit-norm and Top-K rules have one copy each."""
+each file format has one parser, and the initial-clip, unit-norm, Top-K and
+config-override rules have one copy each."""
 
 import ast
 import sys
@@ -87,3 +88,16 @@ def test_top_k_rule_has_one_copy():
     """Only `editor.top_k_segments` reads `.argsort` in the editor, so a second
     copy of the Top-K rule (a sort of segment scores) fails here."""
     assert top_level_uses(ROOT / "src" / "clipedit" / "editor.py", "argsort") == ["top_k_segments"]
+
+
+def test_config_override_rule_has_one_copy():
+    """Only `config._merge` says `unknown config key`, so a second copy of the
+    override rule (a walk of dotted keys into the config) fails here."""
+    users = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        users += [
+            (path.name, getattr(stmt, "name", "<module>")) for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Constant) and "unknown config key" in str(node.value)
+        ]
+    assert users == [("config.py", "_merge")]

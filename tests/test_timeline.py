@@ -228,6 +228,12 @@ def clip_rows(draw):
 
 
 class TestInitialClips:
+    def test_negative_zero_edge_keeps_its_sign(self):
+        # (prev + t) / 2 rounds to -0.0 at t = 0.0; the per-caption rule keeps the sign, also with
+        # the video span given as arrays, where np.clip would drop it
+        start, _ = initial_clips([-5e-324], [0.0], [np.nan], [0.0], [1.0], MID)
+        assert bits(start) == bits([initial_clip_ref(-5e-324, 0.0, None, 0.0, 1.0, MID)[0]]) == bits([-0.0])
+
     @settings(max_examples=300)
     @given(clip_rows(), st.booleans())
     def test_equals_the_per_caption_rule(self, case, named):
@@ -293,6 +299,11 @@ class TestInitStrategyParse:
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
             InitStrategy("fixed_half_width", 0.0)
+
+    @pytest.mark.parametrize("text", ["fixed_half_width:inf", "fixed_half_width:1e400", "fixed_half_width:nan"])
+    def test_width_must_be_finite(self, text):
+        with pytest.raises(ValueError, match="requires a finite half_width_s > 0"):
+            InitStrategy.parse(text)
 
 
 class TestSegmentGrid:
