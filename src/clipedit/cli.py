@@ -20,6 +20,7 @@ from .corpus import (
     CaptionAnnotation,
     ClipRef,
     FeatureStore,
+    _io_error,
     load_annotations,
     load_features,
     read_jsonl,
@@ -54,6 +55,16 @@ def _load_corpus(run: RunConfig) -> tuple[FeatureStore, list[CaptionAnnotation]]
         return synth_corpus(run.synth)
     store = load_features(run.features_dir)
     return store, load_annotations(run.annotations_file, store)
+
+
+def _out_dir(run: RunConfig) -> Path:
+    """`run.out_dir`, made with its parents; a path that cannot be a directory is a ValueError."""
+    out = Path(run.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _io_error(out, "create directory", exc) from exc
+    return out
 
 
 def _test_gallery(store, annotations, strategy):
@@ -117,8 +128,7 @@ def cmd_synth(run: RunConfig, args) -> int:
     if run.synth is None:
         raise ConfigError("synth command requires a synth config block")
     store, annotations = synth_corpus(run.synth)
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(run)
     write_features(out, store)
     write_annotations(out / "annotations.jsonl", annotations)
     if args.check:
@@ -138,8 +148,7 @@ def cmd_warmup(run: RunConfig, args) -> int:
     store, annotations = _load_corpus(run)
     assignment = _train_assignment(run, store, annotations)
     params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(run)
     save_checkpoint(out / "model.warmup.cfp", params)
     metrics = _eval_test_split(params, store, annotations, run.init_strategy, out, args.check)
     print(f"warmup done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
@@ -155,10 +164,13 @@ def run_cotrain_pipeline(
     store, annotations = corpus if corpus is not None else _load_corpus(run)
     assignment = _train_assignment(run, store, annotations)
     warm_params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(run)
     log_path = out / "cotrain_log.jsonl"
-    with log_path.open("w", encoding="utf-8") as log_fh:
+    try:
+        log_fh = log_path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise _io_error(log_path, "write", exc) from exc
+    with log_fh:
         def on_epoch(rec: dict) -> None:  # `write_jsonl`'s line, streamed so a crash keeps the log
             log_fh.write(json.dumps(rec) + "\n")
             log_fh.flush()
@@ -197,8 +209,7 @@ def cmd_eval(run: RunConfig, args) -> int:
         raise ValueError(
             f"{args.checkpoint}: checkpoint d_in={params.d_in} does not match the corpus's d={store.dim}"
         )
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(run)
     metrics = _eval_test_split(params, store, annotations, run.init_strategy, out, args.check)
     print(f"eval done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     return 0
@@ -211,8 +222,7 @@ def _parse_values(raw: str) -> list:
 def cmd_ablate(run: RunConfig, args) -> int:
     path = ABLATE_AXES[args.axis].split(".")
     values = _parse_values(args.values)
-    out = Path(run.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(run)
     # no ablation axis changes the corpus: load it once
     corpus = _load_corpus(run)
     cfg = load_config_dict(args.config, args.set)

@@ -137,6 +137,8 @@ class SynthConfig:
         lo, hi = self.gt_len_range
         if not 0 < lo <= hi:
             raise ValueError(f"gt_len_range must satisfy 0 < min <= max, got {self.gt_len_range}")
+        if self.align_gt_to_seconds and math.ceil(lo) > math.floor(hi):
+            raise ValueError(f"gt_len_range {self.gt_len_range} contains no whole second")
         if self.captions_per_video * hi > self.video_len_s:
             raise ValueError(
                 f"infeasible placement: {self.captions_per_video} captions x max gt "
@@ -169,16 +171,25 @@ def _annotation_to_obj(a: CaptionAnnotation) -> dict:
     return obj
 
 
+def _io_error(path: str | Path, action: str, exc: OSError) -> ValueError:
+    """`<path>: cannot <action>: <reason>`, the one message for an `OSError` on a file."""
+    return ValueError(f"{Path(path)}: cannot {action}: {exc.strerror or exc}")
+
+
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write `data` (a str as UTF-8) to a temp file beside `path`, then `os.replace` it onto
-    `path`; on error the temp file is removed and `path` is left as it was."""
+    `path`; on error the temp file is removed and `path` is left as it was. An `OSError`
+    becomes a ValueError naming `path`."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        try:
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise _io_error(path, "write", exc) from exc
 
 
 # the C scanner `json.loads` runs, without its whitespace and extra-data passes
@@ -215,7 +226,7 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
                     raise ValueError(f"{path}:{lineno}: missing field {key!r}")
                 yield lineno, obj
     except OSError as exc:
-        raise ValueError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+        raise _io_error(path, "read", exc) from exc
 
 
 def write_jsonl(path: str | Path, objs) -> None:
@@ -231,7 +242,7 @@ def read_f32(path: str | Path, magic: bytes, header: str, n_values) -> tuple[tup
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        raise ValueError(f"{Path(path)}: cannot read: {exc.strerror or exc}") from exc
+        raise _io_error(path, "read", exc) from exc
     if raw[:len(magic)] != magic:
         raise ValueError(f"{Path(path)}: bad magic bytes {raw[:len(magic)]!r}, expected {magic!r}")
     start = len(magic) + struct.calcsize(header)
@@ -458,10 +469,7 @@ def _place_gt_intervals(cfg: SynthConfig, rng: np.random.Generator) -> list[Inte
     k = cfg.captions_per_video
     lo, hi = cfg.gt_len_range
     if cfg.align_gt_to_seconds:
-        ilo, ihi = math.ceil(lo), math.floor(hi)
-        if ilo > ihi:
-            raise ValueError(f"gt_len_range {cfg.gt_len_range} contains no whole second")
-        lengths = rng.integers(ilo, ihi + 1, size=k).astype(float)
+        lengths = rng.integers(math.ceil(lo), math.floor(hi) + 1, size=k).astype(float)
         slack = int(cfg.video_len_s) - int(lengths.sum())
         if slack < 0:
             raise ValueError(f"infeasible placement for {cfg}")
@@ -473,15 +481,11 @@ def _place_gt_intervals(cfg: SynthConfig, rng: np.random.Generator) -> list[Inte
             raise ValueError(f"infeasible placement for {cfg}")
         cuts = np.sort(rng.uniform(0.0, slack, size=k))
         gaps = np.diff(np.concatenate([[0.0], cuts, [slack]]))
-    out = []
-    cursor = 0.0
-    for i in range(k):
-        cursor += float(gaps[i])
-        if not cursor < (end := cursor + float(lengths[i])):
-            raise ValueError(f"synth.gt_len_range {cfg.gt_len_range}: a gt at {cursor} s has no width")
-        out.append(Interval(cursor, end))
-        cursor = end
-    return out
+    edges = np.cumsum(np.column_stack([gaps[:k], lengths]).ravel())  # gap0, length0, gap1, ... in order
+    starts, ends = edges[0::2], edges[1::2]
+    if (bad := np.flatnonzero(~(starts < ends))).size:
+        raise ValueError(f"synth.gt_len_range {cfg.gt_len_range}: a gt at {starts[bad[0]]} s has no width")
+    return [Interval(*gt) for gt in zip(starts.tolist(), ends.tolist())]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a row that overflows fails `_unit`'s norm check

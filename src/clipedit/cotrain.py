@@ -26,7 +26,6 @@ from .encoder import (
     embed_captions,
     embed_clips,
     make_optimizer,
-    similarity,
 )
 from .evalrep import _evaluate_pooled
 from .timeline import InitStrategy, Interval, initial_clips, jitter
@@ -158,9 +157,10 @@ def select_control_set(
     pooled, caps = _train_rows(store, clips)
     U = embed_clips(params, pooled, ids)
     V = embed_captions(params, caps, ids)
-    # the rows equal the one-item embeddings bit for bit; a dot of fresh
-    # copies is the exact score a one-item `similarity` call gives
-    keep = [i for i, (u, v) in enumerate(zip(U, V)) if similarity(u.copy(), v.copy()) > gamma]
+    # each (1, d) @ (d, 1) is the dot `similarity(u, v)` takes, compared in float64
+    # as its Python float is: a float32 compare would round gamma first
+    scores = np.matmul(U[:, None, :], V[:, :, None])[:, 0, 0].astype(np.float64)
+    keep = np.flatnonzero(scores > gamma).tolist()
     return ControlSet(
         caption_ids=tuple(ids[i] for i in keep),
         frozen_clips={ids[i]: clips[ids[i]] for i in keep},

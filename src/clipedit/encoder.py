@@ -3,10 +3,13 @@
 Clips and captions get separate projections (W_v, b_v) and (W_c, b_c);
 segment rows are mean-pooled then projected then L2-normalized, captions
 are projected then normalized, all through `embed_clips`/`embed_captions`.
+Their projection is one batched product in which each row is its own
+`row @ W.T`, so a row's embedding does not depend on the rows beside it.
 `_unit` is the one norm rule. Similarity is the dot product of unit
 vectors. Training minimizes a symmetric InfoNCE over in-batch negatives
-with analytic gradients (no autodiff dependency); a weight that an
-optimizer step leaves non-finite raises `NumericError`.
+with analytic gradients (no autodiff dependency); a projection whose norm
+is not finite, or a weight that an optimizer step leaves non-finite,
+raises `NumericError`.
 
 Checkpoints `.cfp` are float32 containers (`corpus.read_f32`); the
 `corpus` module docstring describes their layout.
@@ -175,13 +178,11 @@ def _embed_rows(
     rows: Sequence[np.ndarray] | np.ndarray, W: np.ndarray, b: np.ndarray,
     what: str, ids: Sequence[str] | None,
 ) -> np.ndarray:
-    # One `row @ W.T` per row, so a row's embedding does not depend on the
-    # rows beside it: one (N, d_in) @ W.T product rounds differently.
-    Wt = W.T
-    projected = [row @ Wt for row in rows]
-    if not projected:
+    # Each row is its own (1, d_in) @ W.T, the product `row @ W.T` makes, so a
+    # row's embedding does not depend on the rows beside it.
+    if not len(rows):
         return np.empty((0, W.shape[0]), dtype=np.result_type(W, b))
-    return _unit(np.array(projected) + b, what, ids)[0]
+    return _unit(np.matmul(np.asarray(rows)[:, None, :], W.T)[:, 0] + b, what, ids)[0]
 
 
 def embed_clips(
@@ -232,8 +233,12 @@ def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, w
     tau = params.tau
 
     # forward, keeping the clamped norms for backprop
-    U, norm_v = _unit(means @ params.W_v.T + params.b_v)  # (B, d_out)
-    V, norm_c = _unit(cap_feats @ params.W_c.T + params.b_c)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is caught below
+        U, norm_v = _unit(means @ params.W_v.T + params.b_v)  # (B, d_out)
+        V, norm_c = _unit(cap_feats @ params.W_c.T + params.b_c)
+    for name, norm in (("W_v", norm_v), ("W_c", norm_c)):
+        if (bad := np.flatnonzero(~np.isfinite(norm))).size:
+            raise NumericError(f"non-finite norm of the {name} projection at batch index {int(bad[0])}")
     S = U @ V.T
 
     A = S / tau

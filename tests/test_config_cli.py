@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -374,6 +377,47 @@ class TestCliExitCodes:
         assert code == 2
         assert "infeasible placement" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lo_hi", ["[0.2,0.8]", "[1e-320,1e-320]"])
+    def test_aligned_gt_len_range_without_a_whole_second_exits_2(self, tmp_path, capsys, lo_hi):
+        cfg_path, out = tiny_cli_args(tmp_path)  # its synth block aligns gts to seconds
+        assert main(["synth", "--config", cfg_path, "--out", out, "--set", f"synth.gt_len_range={lo_hi}"]) == 2
+        lo, hi = json.loads(lo_hi)
+        assert capsys.readouterr().err == \
+            f"config error: synth: gt_len_range ({lo}, {hi}) contains no whole second\n"
+        assert not Path(out).exists()
+
+    @pytest.mark.parametrize("command", ["synth", "warmup", "cotrain", "eval", "ablate"])
+    @pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")],
+                             ids=["a-file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_naming_it(self, tmp_path, capsys, command, below, reason):
+        cfg_path, _ = tiny_cli_args(tmp_path)
+        ckpt = tmp_path / "model.cfp"
+        save_checkpoint(ckpt, EncoderParams.identity(8))
+        extra = {"eval": ["--checkpoint", str(ckpt)], "ablate": ["--axis", "topk", "--values", "4"]}
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x" if below else tmp_path / "file"
+        assert main([command, "--config", cfg_path, "--out", str(out), *extra.get(command, [])]) == 2
+        assert capsys.readouterr().err == f"validation error: {out}: cannot create directory: {reason}\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("synth", "annotations.jsonl"), ("warmup", "model.warmup.cfp"),
+        ("cotrain", "cotrain_log.jsonl"), ("cotrain", "edits.jsonl"), ("cotrain", "metrics.json"),
+    ])
+    def test_output_that_cannot_be_written_exits_2_naming_it(self, tmp_path, capsys, command, name):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        (Path(out) / name).mkdir(parents=True)
+        assert main([command, "--config", cfg_path, "--out", out]) == 2
+        assert capsys.readouterr().err == f"validation error: {Path(out) / name}: cannot write: Is a directory\n"
+        assert [p.name for p in Path(out).glob(".*.tmp")] == []
+
+    @pytest.mark.parametrize("command", ["warmup", "cotrain"])
+    def test_overflowing_projection_norm_exits_3_naming_it(self, tmp_path, capsys, command):
+        # the first step leaves finite weights near 1e30, whose projections' norms overflow;
+        # pytest turns a RuntimeWarning into an error, so none may print
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main([command, "--config", cfg_path, "--out", out, "--set", "train.learning_rate=1e30"]) == 3
+        assert capsys.readouterr().err == "numeric error: non-finite norm of the W_v projection at batch index 0\n"
+
     def test_numeric_error_maps_to_3(self, tmp_path, monkeypatch):
         def boom(run, args):
             raise NumericError("non-finite loss contribution at batch index 0")
@@ -708,6 +752,26 @@ class TestCliSynth:
         out2 = str(tmp_path / "warm")
         assert main(["warmup", "--config", cfg2_path, "--out", out2]) == 0
         assert (Path(out2) / "model.warmup.cfp").exists()
+
+
+class TestEntryPoint:
+    def test_commands_exit_0_with_empty_stderr_in_dev_mode(self, tmp_path):
+        # the real `python -m clipedit.cli`, with every warning an error: in-process tests
+        # reach neither `__main__` nor warnings the interpreter itself reports
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
+        cfg2_path = write_cfg(tmp_path, synth_dict(synth=None, features_dir=corpus,
+                                                   annotations_file=str(Path(corpus) / "annotations.jsonl")), "cfg2.json")
+        run, ev = tmp_path / "run", tmp_path / "ev"
+        for args in (["synth", "--config", cfg_path, "--out", corpus],
+                     ["cotrain", "--config", cfg2_path, "--out", str(run), "--check"],
+                     ["eval", "--config", cfg2_path, "--out", str(ev), "--check",
+                      "--checkpoint", str(run / "model.student.cfp")]):
+            proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "clipedit.cli", *args],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, ""), args
+        assert (ev / "metrics.json").exists()
 
 
 class TestCliWarmupCotrainEval:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -349,6 +350,29 @@ class TestVideoRecord:
             VideoRecord("v", 2.0, bad)
 
 
+def _cursor_placement(cfg, rng):
+    """The gt placement as first written: draws as `_place_gt_intervals` does, then one cursor
+    that adds gap i, then length i, per gt. Returns [(start, end)]."""
+    k, (lo, hi) = cfg.captions_per_video, cfg.gt_len_range
+    if cfg.align_gt_to_seconds:
+        lengths = rng.integers(math.ceil(lo), math.floor(hi) + 1, size=k).astype(float)
+        slack = int(cfg.video_len_s) - int(lengths.sum())
+        gaps = rng.multinomial(slack, [1.0 / (k + 1)] * (k + 1)).astype(float)
+    else:
+        lengths = rng.uniform(lo, hi, size=k)
+        slack = cfg.video_len_s - float(lengths.sum())
+        cuts = np.sort(rng.uniform(0.0, slack, size=k))
+        gaps = np.diff(np.concatenate([[0.0], cuts, [slack]]))
+    out, cursor = [], 0.0
+    for i in range(k):
+        cursor += float(gaps[i])
+        if not cursor < (end := cursor + float(lengths[i])):
+            raise ValueError(f"synth.gt_len_range {cfg.gt_len_range}: a gt at {cursor} s has no width")
+        out.append((cursor, end))
+        cursor = end
+    return out
+
+
 class TestSynthCorpus:
     CFG = SynthConfig(
         n_train_videos=3, n_test_videos=1, captions_per_video=3,
@@ -452,6 +476,36 @@ class TestSynthCorpus:
         cfg = SynthConfig(**{**self.CFG.__dict__, "gt_len_range": (1e-320, 1e-320)})
         with pytest.raises(ValueError, match=r"^synth.gt_len_range \(1e-320, 1e-320\): a gt at .* s has no width$"):
             synth_corpus(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(1, 6), hi=st.sampled_from([1e-320, 1e-3, 0.4, 1.0, 1.7, 2.0, 3.5, 7.0]),
+        lo_frac=st.sampled_from([0.1, 0.5, 1.0]), room=st.sampled_from([1.0, 1.3, 4.0]),
+        align=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_placement_equals_the_cursor_loop(self, k, hi, lo_frac, room, align, seed):
+        lo = hi * lo_frac
+        if align and math.ceil(lo) > math.floor(hi):
+            return  # rejected by SynthConfig
+        cfg = SynthConfig(n_train_videos=1, n_test_videos=0, captions_per_video=k,
+                          video_len_s=max(k * hi * room, 0.5), gt_len_range=(lo, hi), dim=2,
+                          align_gt_to_seconds=align, seed=seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            want = _cursor_placement(cfg, ref_rng)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                corpus._place_gt_intervals(cfg, rng)
+            return
+        got = corpus._place_gt_intervals(cfg, rng)
+        assert [(gt.start_s, gt.end_s) for gt in got] == want
+        assert [type(gt.start_s) for gt in got] == [float] * k
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_aligned_range_without_a_whole_second_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^gt_len_range \(0.2, 0.8\) contains no whole second$"):
+            SynthConfig(**{**self.CFG.__dict__, "gt_len_range": (0.2, 0.8), "align_gt_to_seconds": True})
+        SynthConfig(**{**self.CFG.__dict__, "gt_len_range": (0.2, 0.8)})  # fractional gts may
 
     def test_aligned_gt_on_integer_seconds(self):
         cfg = SynthConfig(
@@ -828,7 +882,7 @@ def test_failed_replace_keeps_old_file(tmp_path, monkeypatch, write):
 
     with monkeypatch.context() as m:
         m.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: cannot write: disk full$"):
             write(path)
     assert path.read_bytes() == b"old contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]

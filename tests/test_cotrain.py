@@ -18,7 +18,8 @@ from clipedit.cotrain import (
 )
 from clipedit.editor import EditConfig, edit_all
 from clipedit.encoder import (
-    EncoderParams, TrainConfig, embed_caption, embed_clip, make_optimizer, similarity, train_epoch,
+    EncoderParams, TrainConfig, embed_caption, embed_captions, embed_clip, embed_clips, make_optimizer,
+    similarity, train_epoch,
 )
 from clipedit.evalrep import evaluate_retrieval
 from clipedit.timeline import InitStrategy, Interval, initial_clip, iou
@@ -199,6 +200,25 @@ class TestControlSet:
         ctl = select_control_set(p, store, clips, gamma)
         assert ctl.caption_ids == expect and 0 < len(expect) < len(clips)
         assert ctl.frozen_clips == {cid: clips[cid] for cid in expect}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_membership_equals_the_per_pair_loop(self, dtype, seed):
+        store, anns = small_corpus(noise=0.4, cap_noise=0.3, seed=seed, n_train=12)
+        clips = build_initial_assignment(store, anns, MID)
+        p = EncoderParams.init_random(16, rng=np.random.default_rng(seed), dtype=dtype)
+        ids = sorted(clips)
+        pooled = clip_means(store, [clips[cid] for cid in ids])
+        U = embed_clips(p, pooled, ids)
+        V = embed_captions(p, np.stack([store.caption_features[cid] for cid in ids]), ids)
+        scores = [similarity(u.copy(), v.copy()) for u, v in zip(U, V)]
+        mid = sorted(scores)[len(scores) // 2]
+        # one pair's own score, and the float64 just below it, which a float32 compare rounds up to it
+        for gamma in (mid, float(np.nextafter(mid, -np.inf))):
+            keep = [i for i, s in enumerate(scores) if s > gamma]
+            ctl = select_control_set(p, store, clips, gamma)
+            assert ctl.caption_ids == tuple(ids[i] for i in keep) and 0 < len(keep) < len(ids)
+            assert np.array_equal(ctl.pooled, pooled[keep])
 
     def test_zero_norm_row_named(self):
         store, clips = self.one_hot_store()

@@ -36,6 +36,15 @@ def _normalized_ref(z):
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
+def _per_row_embeddings(rows, W, b):
+    """The embedding rule as first written: a loop of one `row @ W.T` per row, then z / ||z||."""
+    Wt = W.T
+    projected = [row @ Wt for row in rows]
+    if not projected:
+        return np.empty((0, W.shape[0]), dtype=np.result_type(W, b))
+    return _normalized_ref(np.array(projected) + b)
+
+
 def huge_row(d, dtype=np.float32):
     """±3e38 entries: finite float32 whose projection or norm overflows."""
     return (3e38 * (-1.0) ** np.arange(d)).astype(dtype)
@@ -174,6 +183,32 @@ class TestBatchedEmbeddings:
             assert clips.dtype == clips_ref.dtype and np.array_equal(clips, clips_ref)
             assert caps.dtype == caps_ref.dtype and np.array_equal(caps, caps_ref)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d_in=st.integers(1, 70), d_out=st.integers(1, 70), n=st.integers(0, 40),
+        param_dtype=st.sampled_from([np.float32, np.float64]),
+        feat_dtype=st.sampled_from([np.float32, np.float64]),
+        scale=st.sampled_from([1e-4, 1.0, 1e4]), bias=st.sampled_from([0.0, 0.3, 5.0]),
+        offset=st.booleans(), as_list=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_per_row_loop(
+        self, d_in, d_out, n, param_dtype, feat_dtype, scale, bias, offset, as_list, seed
+    ):
+        rng = np.random.default_rng(seed)
+        p = EncoderParams.init_random(d_in, d_out, rng=rng, dtype=param_dtype)
+        p.b_v[:] = bias * rng.standard_normal(d_out)
+        p.b_c[:] = bias * rng.standard_normal(d_out)
+        X = (scale * rng.standard_normal((n, d_in))).astype(feat_dtype)
+        if offset:  # rows that start off the allocator's alignment
+            buf = np.empty(n * d_in + 1, dtype=feat_dtype)
+            buf[1:] = X.ravel()
+            X = buf[1:].reshape(n, d_in)
+        rows = list(X) if as_list else X
+        for embed, W, b in ((embed_clips, p.W_v, p.b_v), (embed_captions, p.W_c, p.b_c)):
+            got, want = embed(p, rows), _per_row_embeddings(rows, W, b)
+            assert got.dtype == want.dtype and got.shape == (n, d_out)
+            assert np.array_equal(got, want)
+
     def test_empty(self):
         p = EncoderParams.identity(3)
         assert embed_clips(p, []).shape == (0, 3)
@@ -258,6 +293,16 @@ class TestInfoNCE:
         caps = np.array([[0.0, 1.0], [1.0, 0.0]])  # positives anti-aligned
         with pytest.raises(NumericError, match="batch index 0"):
             info_nce(p, [clip0, clip1], caps)
+
+    @pytest.mark.parametrize("name", ["W_v", "W_c"])
+    def test_overflowing_norm_names_the_projection_and_batch_index(self, name):
+        # finite float32 weights whose row-1 projection norm overflows; pytest turns
+        # a RuntimeWarning into an error, so none may print
+        p = EncoderParams.identity(4, dtype=np.float32)
+        getattr(p, name)[:] *= np.float32(1e20)
+        rows = np.array([np.full(4, 1e-25), np.ones(4), np.ones(4)], dtype=np.float32)
+        with pytest.raises(NumericError, match=f"^non-finite norm of the {name} projection at batch index 1$"):
+            info_nce(p, [r[None] for r in rows], rows)
 
     def test_matches_reference_loss(self):
         rng = np.random.default_rng(8)
