@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +57,20 @@ def _load_corpus(run: RunConfig) -> tuple[FeatureStore, list[CaptionAnnotation]]
         return synth_corpus(run.synth)
     store = load_features(run.features_dir)
     return store, load_annotations(run.annotations_file, store)
+
+
+def _check_out_dir(run: RunConfig) -> None:
+    """Raise `_out_dir`'s error before any work, without creating anything, when
+    `run.out_dir` cannot be a directory: it exists and is not one, or its nearest
+    existing ancestor is not one."""
+    out = Path(run.out_dir)
+    try:
+        path = next((p for p in (out, *out.parents) if p.exists()), None)
+    except OSError as exc:  # e.g. a parent that may not be searched
+        raise _io_error(out, "create directory", exc) from exc
+    if path is not None and not path.is_dir():
+        code = errno.EEXIST if path == out else errno.ENOTDIR
+        raise _io_error(out, "create directory", OSError(code, os.strerror(code)))
 
 
 def _out_dir(run: RunConfig) -> Path:
@@ -145,6 +161,7 @@ def _train_assignment(run: RunConfig, store: FeatureStore, annotations: list[Cap
 
 
 def cmd_warmup(run: RunConfig, args) -> int:
+    _check_out_dir(run)
     store, annotations = _load_corpus(run)
     assignment = _train_assignment(run, store, annotations)
     params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
@@ -161,6 +178,7 @@ def run_cotrain_pipeline(
     corpus: tuple[FeatureStore, list[CaptionAnnotation]] | None = None,
 ) -> RetrievalMetrics:
     """`clipedit cotrain`; `corpus` passes an already loaded (store, annotations)."""
+    _check_out_dir(run)
     store, annotations = corpus if corpus is not None else _load_corpus(run)
     assignment = _train_assignment(run, store, annotations)
     warm_params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
@@ -203,6 +221,7 @@ def cmd_cotrain(run: RunConfig, args) -> int:
 
 
 def cmd_eval(run: RunConfig, args) -> int:
+    _check_out_dir(run)
     store, annotations = _load_corpus(run)
     params = load_checkpoint(args.checkpoint)
     if params.d_in != store.dim:

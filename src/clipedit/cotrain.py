@@ -6,7 +6,9 @@ the student is scored by caption-to-clip R@1 on a frozen control set of
 high-confidence pairs. A strict improvement copies the student into the
 teacher; M consecutive non-improving epochs stop the loop. An epoch whose
 editor weights equal those of the last edit keeps that edit, which
-re-editing would repeat exactly.
+re-editing would repeat exactly; otherwise each caption whose Top-K
+segments did not change keeps its last result, and only the others are
+decided again.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .corpus import CaptionAnnotation, ClipAssignment, ClipRef, FeatureStore
-from .editor import EditConfig, EditResult, edit_all
+from .editor import EditConfig, EditResult, _edit_all
 from .encoder import (
     EncoderParams,
     TrainConfig,
@@ -213,7 +215,8 @@ def cotrain(
         # every epoch edits the same assignment with the same config, so
         # unchanged editor weights would reproduce the last edits exactly
         if edited_by is None or not editor_params.equals(edited_by):
-            clips, last_edits = edit_all(editor_params, store, assignment, cfg.edit)
+            # a caption whose Top-K did not change keeps its last result
+            clips, last_edits = _edit_all(editor_params, store, assignment, cfg.edit, last_edits)
             edited_by = editor_params.copy()
             rows = _train_rows(store, clips)
         _, train_loss = _train_epoch(student, *rows, cfg.train, rng, optimizer)

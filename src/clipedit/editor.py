@@ -5,6 +5,17 @@ segment of the clip against the caption, keeps the Top-K segments,
 enumerates every interval spanned by a pair of kept segments, and picks
 the candidate maximizing summed IoU against all candidates. The edit is
 applied only when IoU(initial, winner) clears the configured gate.
+
+`edit_all` does this for many captions and does only the work whose result
+can change. A clip of at most k segments keeps all of them without being
+scored. The other clips are scored one pooling block at a time by one
+product (`encoder._block_scores`), and a clip keeps that block's Top-K only
+when its k-th and (k+1)-th scores differ by more than the product's error
+bound; any other clip is scored again on its own (`_segment_scores`), so
+the lower-index tie-break stays exact. Candidates and consensus then run as
+arrays over blocks of captions (`_decide`). Given the results of an earlier
+edit of the same clips with the same config, a caption whose Top-K did not
+change keeps its result, which `_decide` would repeat exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, write_jsonl
-from .encoder import EncoderParams, _segment_scores, embed_captions, segment_similarities  # noqa: F401
+from .encoder import (  # noqa: F401
+    EncoderParams,
+    _block_scores,
+    _roundoff,
+    _segment_scores,
+    embed_captions,
+    segment_similarities,
+)
 from .timeline import Interval, SegmentGrid, check_seg_len, ious, segment_bounds, segment_counts
 
 # Bytes of one block's (B, C, C) float64 consensus IoU tensor: 32 captions
@@ -50,15 +68,17 @@ class EditResult:
     winner_pair: tuple[int, int] | None
 
 
-def top_k_segments(sims: np.ndarray, k: int) -> list[int]:
+def top_k_segments(sims: np.ndarray, k: int) -> list[int] | list[list[int]]:
     """Indices of the min(k, n) largest similarities, ascending.
 
-    Ties go to the lower index (stable sort on descending value).
+    Ties go to the lower index (stable sort on descending value). A 2-D
+    block is taken row by row and gives one list per row; a short row is
+    padded with -inf, which sorts after every score.
     """
     sims = np.asarray(sims)
-    if sims.ndim != 1 or sims.size == 0:
+    if sims.ndim not in (1, 2) or sims.shape[-1] == 0:
         raise ValueError("sims must be a non-empty 1-D vector")
-    return sorted(int(i) for i in np.argsort(-sims, kind="stable")[:k])
+    return np.sort(np.argsort(-sims, axis=-1, kind="stable")[..., :k], axis=-1).tolist()
 
 
 def enumerate_candidates(
@@ -111,8 +131,7 @@ def _lead_bound(c: int) -> float:
     key_j + M - 2*u*c, has s_b - s_j > 2*u*c >= u*(s_b + s_j), so the
     correctly rounded `math.fsum` keys order b strictly first.
     """
-    u = float(np.finfo(np.float64).eps) / 2
-    gamma = (c - 1) * u / (1 - (c - 1) * u)
+    u, gamma = _roundoff(c - 1, np.dtype(np.float64))
     return 2 * gamma * c + 4 * u * c
 
 
@@ -184,6 +203,50 @@ def edit_clip(
     return edit_all(teacher, store, {caption_id: ref}, cfg)[1][0]
 
 
+def _top_ks(
+    teacher: EncoderParams, recs: list, origin: np.ndarray, clip_end: np.ndarray,
+    n_seg: np.ndarray, caps: np.ndarray, cfg: EditConfig,
+) -> list[list[int]]:
+    """Each clip's `top_k_segments` list of its segment scores against caps[i].
+
+    A clip of n <= k segments keeps range(n) and is not scored. The other
+    clips of a pooling block are scored by one `_block_scores` product and
+    take Top-K from the block, padded row by row. A clip keeps it when its
+    k-th and (k+1)-th block scores differ by more than 4 * its rows' largest
+    delta: each product lies within delta of the real scores, so the
+    one-caption scores order the same k segments strictly first. Any other
+    clip (a near or exact tie, NaN, a norm too small for the bound) is scored
+    again by `_segment_scores` on a fresh copy of its caption row.
+    """
+    tops = [list(range(n)) for n in n_seg.tolist()]
+    for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, cfg.seg_len_s):
+        n = n_seg[lo:hi]
+        long = np.flatnonzero(n > cfg.k)
+        if not long.size:
+            continue
+        clip = np.repeat(np.arange(hi - lo), n)
+        pos = np.arange(clip.size) - first[clip]  # each segment's index in its clip
+        sel = n[clip] > cfg.k
+        clip, pos = clip[sel], pos[sel]
+        scores, delta = _block_scores(teacher, segs[sel], caps[lo + clip])
+        # row j of S and D holds clip long[j], padded with -inf scores and zero bounds
+        S = np.full((long.size, int(n[long].max())), -np.inf, dtype=scores.dtype)
+        D = np.zeros(S.shape)
+        row = np.searchsorted(long, clip)
+        S[row, pos], D[row, pos] = scores, delta
+        top = top_k_segments(S, cfg.k)
+        kept = np.zeros(S.shape, dtype=bool)
+        kept[np.arange(long.size)[:, None], np.array(top)] = True
+        kth = np.where(kept, S, np.inf).min(axis=1).astype(np.float64)
+        gap = kth - np.where(kept, -np.inf, S).max(axis=1)  # minus the (k+1)-th score, in float64
+        sure = gap > 4 * D.max(axis=1)  # False for NaN
+        for j, i in enumerate(long.tolist()):
+            f = int(first[i])
+            tops[lo + i] = top[j] if sure[j] else top_k_segments(
+                _segment_scores(teacher, segs[f:f + int(n[i])], caps[lo + i].copy()), cfg.k)
+    return tops
+
+
 def edit_all(
     teacher: EncoderParams,
     store: FeatureStore,
@@ -192,9 +255,22 @@ def edit_all(
 ) -> tuple[ClipAssignment, list[EditResult]]:
     """Edit every assigned clip; results ordered by caption_id. The captions are
     embedded in one call, every clip is pooled a block at a time (`corpus._pool_blocks`)
-    and each caption keeps the `top_k_segments` of its scores on its own rows; then
+    and each caption gets the `top_k_segments` of its scores (`_top_ks`); then
     `_decide` edits blocks of captions sized by `_IOU_BLOCK_BYTES` for the largest
     Top-K the clips can have, and leaves a clip of one segment as it is."""
+    return _edit_all(teacher, store, clips, cfg)
+
+
+def _edit_all(
+    teacher: EncoderParams,
+    store: FeatureStore,
+    clips: ClipAssignment,
+    cfg: EditConfig,
+    last: list[EditResult] = (),
+) -> tuple[ClipAssignment, list[EditResult]]:
+    """`edit_all`, given `last`, results of an earlier call with the same `cfg`: a
+    caption whose initial clip, segment count and Top-K equal its result there
+    keeps that result, which `_decide` would repeat, and only the others are decided."""
     items = sorted(clips.items())
     recs = []
     for caption_id, ref in items:
@@ -210,22 +286,20 @@ def edit_all(
     k = min(cfg.k, int(n_seg.max(initial=1)))  # a Python min: k may pass int64
     block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, k * (k - 1) // 2) ** 2))
     ids = [caption_id for caption_id, _ in items]
+    # each row equals `embed_caption`'s bit for bit
     caps = embed_captions(teacher, [store.caption_features[cid] for cid in ids], ids)
-    # each row equals `embed_caption`'s bit for bit; a fresh copy scores as that one-row call does
-    tops = [
-        top_k_segments(_segment_scores(teacher, segs[f:f + n], caps[i].copy()), cfg.k)
-        for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, cfg.seg_len_s)
-        for i, f, n in zip(range(lo, hi), first.tolist(), n_seg[lo:hi].tolist())
-    ]
-    results: list[EditResult] = []
-    for lo in range(0, len(items), block):
-        hi = lo + block
-        decided = _decide(tops[lo:hi], origin[lo:hi], cfg.seg_len_s, n_seg[lo:hi], clip_end[lo:hi],
-                          initials[lo:hi], cfg)
-        results += [
-            EditResult(caption_id, ref.interval, *d[:2], n, *d[2:])
-            for (caption_id, ref), n, d in zip(items[lo:hi], n_seg[lo:hi].tolist(), decided)
-        ]
+    tops = _top_ks(teacher, recs, origin, clip_end, n_seg, caps, cfg)
+    # a result depends on its caption only through these four and `cfg`
+    prev = {(r.caption_id, r.initial, r.n_segments, r.topk_indices): r for r in last}
+    results = [prev.get((cid, iv, n, tuple(top)))
+               for cid, iv, n, top in zip(ids, initials, n_seg.tolist(), tops)]
+    todo = [i for i, r in enumerate(results) if r is None]
+    for lo in range(0, len(todo), block):
+        idx = todo[lo:lo + block]
+        decided = _decide([tops[i] for i in idx], origin[idx], cfg.seg_len_s, n_seg[idx], clip_end[idx],
+                          [initials[i] for i in idx], cfg)
+        for i, n, d in zip(idx, n_seg[idx].tolist(), decided):
+            results[i] = EditResult(ids[i], initials[i], *d[:2], n, *d[2:])
     return {cid: ClipRef(ref.video_id, r.edited) for (cid, ref), r in zip(items, results)}, results
 
 

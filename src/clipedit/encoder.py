@@ -135,6 +135,17 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
+def _roundoff(n: int, *dtypes: np.dtype) -> tuple[float, float]:
+    """(u, gamma_n): the unit roundoff u of the least precise of `dtypes` and
+    gamma_n = n*u / (1 - n*u). Any float evaluation of a sum of n terms or a
+    length-n dot product, in any order and with or without FMA, lies within
+    gamma_n * sum|x_i y_i| of the real value. Past n*u > 1e-3 the bound is not
+    worth using (its callers' 1.01 norm factors no longer hold): gamma_n is inf.
+    """
+    u = max(float(np.finfo(dt).eps) / 2 for dt in dtypes)
+    return u, n * u / (1 - n * u) if n * u <= 1e-3 else float("inf")
+
+
 def _unit(z: np.ndarray, what: str | None = None, ids: Sequence[str] | None = None):
     """(z / n, n) with n each row's norm. With no `what`, n is clamped below at _EPS;
     with a `what` ("clip", "caption"), a norm below _EPS, NaN or inf is a ValueError
@@ -171,6 +182,40 @@ def segment_similarities(
 
 def _segment_scores(teacher: EncoderParams, seg_feats: np.ndarray, cap_emb: np.ndarray) -> np.ndarray:
     return _unit(seg_feats @ teacher.W_v.T + teacher.b_v)[0] @ cap_emb
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite bound fails every check
+def _block_scores(
+    teacher: EncoderParams, segs: np.ndarray, caps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, delta): segment row i scored against caption row caps[i], all
+    rows in one product, and a float64 bound delta[i] such that this score and
+    `_segment_scores`' for the same row both lie within delta[i] of the real
+    score s = <z/||z||, c>, z the real x @ W_v.T + b_v.
+
+    Let u and gamma_n come from `_roundoff` for the precision of the product
+    and of the caption rows. Each computed entry of z is a sum of d_in + 1
+    terms, so either product errs by dz with ||dz|| <= gamma_{d_in+1} * ||a||,
+    a = |x| @ |W_v|.T + |b_v|. Computed norms lie within a factor 1.01 of the
+    real ones, so L = ||z computed here|| / 1.01 - ||dz|| <= ||z||. As
+    ||x/||x|| - y/||y|||| <= 2||x - y|| / ||y||, either computed unit row lies
+    within 2||dz|| / L + gamma_{d_out+2} of z/||z||; the caption row's norm is
+    at most 1.01, and the dot with it adds 1.01**2 * gamma_{d_out}. The extra
+    u covers underflow and the float64 difference of two scores. A row whose
+    norm could meet `_unit`'s clamp in either product (L - ||dz|| below
+    1.01 * _EPS) gets delta = inf.
+    """
+    W, b = teacher.W_v, teacher.b_v
+    Z, nz = _unit(segs @ W.T + b)
+    scores = np.einsum("ij,ij->i", Z, caps)
+    na = _unit(np.abs(segs) @ np.abs(W).T + np.abs(b))[1][:, 0].astype(np.float64)
+    dtypes = np.result_type(segs, W, b), caps.dtype
+    u, g_in = _roundoff(W.shape[1] + 1, *dtypes)
+    dz = 1.01 * g_in * na
+    L = nz[:, 0].astype(np.float64) / 1.01 - dz
+    delta = (1.01 * (2 * dz / L + _roundoff(W.shape[0] + 2, *dtypes)[1])
+             + 1.01**2 * _roundoff(W.shape[0], *dtypes)[1] + u)
+    return scores, np.where(L - dz >= 1.01 * _EPS, delta, np.inf)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # `_unit` rejects a row that overflowed

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means, write_csv
-from .encoder import EncoderParams, embed_captions, embed_clips
+from .encoder import EncoderParams, _roundoff, embed_captions, embed_clips
 from .timeline import Interval, ious
 
 R_AT_KS = (1, 5, 10)
@@ -66,14 +66,12 @@ def _margin(e: int, *dtypes: np.dtype) -> float:
     pair, delta = 1.01**2 * gamma_e. A clip scoring above s_t + 4*delta in
     the block is strictly ahead of the true clip under gemv too, and one
     below s_t - 4*delta strictly behind. The extra 4u covers rounding
-    s_t +- M (|s_t| < 1.03) and underflow in the products. u comes from
-    the least precise of U, V and the scores. Past e*u > 1e-3 the bound is
-    not worth using: M is infinite and every query falls back.
+    s_t +- M (|s_t| < 1.03) and underflow in the products. u and gamma_e
+    come from `encoder._roundoff` for the least precise of U, V and the
+    scores. Past e*u > 1e-3 the bound is not worth using: M is infinite and
+    every query falls back.
     """
-    u = max(float(np.finfo(dt).eps) / 2 for dt in dtypes)
-    if e * u > 1e-3:
-        return float("inf")
-    gamma = e * u / (1 - e * u)
+    u, gamma = _roundoff(e, *dtypes)
     return 4 * 1.01**2 * gamma + 4 * u
 
 

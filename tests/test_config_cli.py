@@ -399,6 +399,26 @@ class TestCliExitCodes:
         assert main([command, "--config", cfg_path, "--out", str(out), *extra.get(command, [])]) == 2
         assert capsys.readouterr().err == f"validation error: {out}: cannot create directory: {reason}\n"
 
+    @pytest.mark.parametrize("command", ["warmup", "cotrain", "eval"])
+    @pytest.mark.parametrize("below, reason", [(False, "File exists"), (True, "Not a directory")],
+                             ids=["a-file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, below, reason):
+        _, cfg_path = self.file_corpus_cfg(tmp_path)
+        ckpt = tmp_path / "model.cfp"
+        save_checkpoint(ckpt, EncoderParams.identity(8))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the --out check")
+        for name in ("warmup", "load_features"):
+            monkeypatch.setattr(f"clipedit.cli.{name}", no_work)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x" if below else tmp_path / "file"
+        extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err == f"validation error: {out}: cannot create directory: {reason}\n"
+
     @pytest.mark.parametrize("command, name", [
         ("synth", "annotations.jsonl"), ("warmup", "model.warmup.cfp"),
         ("cotrain", "cotrain_log.jsonl"), ("cotrain", "edits.jsonl"), ("cotrain", "metrics.json"),
@@ -626,11 +646,15 @@ class TestCliExitCodes:
         assert "matmul" not in err
 
     def test_numeric_error_in_editor_exits_3(self, tmp_path, monkeypatch):
-        def boom(*args):
+        calls = []
+
+        def boom(*args):  # the editor's block scoring, reached by every clip of more than k segments
+            calls.append(args)
             raise NumericError("non-finite segment similarity")
-        monkeypatch.setattr("clipedit.editor._segment_scores", boom)
+        monkeypatch.setattr("clipedit.editor._block_scores", boom)
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["cotrain", "--config", cfg_path, "--out", out]) == 3
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("command", ["warmup", "cotrain"])
     def test_weight_overflow_in_the_last_step_exits_3(self, tmp_path, capsys, command):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clipedit import corpus
+from clipedit import corpus, editor
 from clipedit.corpus import (
     ROW_OVERLAP_MIN,
     CaptionAnnotation,
@@ -782,12 +782,13 @@ def test_edit_all_pools_like_row_loop(case):
     assignment = {f"c{i:02d}": ClipRef(f"v{v}", Interval(a, b)) for i, (v, a, b) in enumerate(clips)}
     for cid in assignment:
         store.caption_features[cid] = np.ones(d, dtype=np.float32)
-    seen = []
+    seen, real = [], editor._pool_blocks
 
-    def record(teacher, seg_feats, cap_emb):
-        seen.append(seg_feats.copy())
-        return np.zeros(seg_feats.shape[0])
-    with budget_patch(budget, d), mock.patch("clipedit.editor._segment_scores", record):
+    def record(*args):  # each clip's rows of each block the editor pools
+        for lo, hi, segs, first in real(*args):
+            seen.extend(np.split(segs.copy(), first[1:]))
+            yield lo, hi, segs, first
+    with budget_patch(budget, d), mock.patch.object(editor, "_pool_blocks", record):
         edit_all(EncoderParams.identity(d), store, assignment, EditConfig(k=3, seg_len_s=seg_len))
     grids = [(ref, segment_grid(ref.interval, seg_len)) for _, ref in sorted(assignment.items())]
     expect = [segment_features_ref(store, ref.video_id, g) for ref, g in grids]

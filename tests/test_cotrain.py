@@ -1,5 +1,6 @@
 import copy
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from clipedit.corpus import (
     ClipRef, FeatureStore, SynthConfig, VideoRecord, clip_means, synth_corpus,
 )
 from clipedit.cotrain import (
+    TEACHER_MODES,
     CoTrainConfig,
     apply_jitter,
     build_initial_assignment,
@@ -16,10 +18,11 @@ from clipedit.cotrain import (
     select_control_set,
     warmup,
 )
-from clipedit.editor import EditConfig, edit_all
+from clipedit import editor
+from clipedit.editor import EditConfig, edit_all, write_edits
 from clipedit.encoder import (
     EncoderParams, TrainConfig, embed_caption, embed_captions, embed_clip, embed_clips, make_optimizer,
-    similarity, train_epoch,
+    save_checkpoint, similarity, train_epoch,
 )
 from clipedit.evalrep import evaluate_retrieval
 from clipedit.timeline import InitStrategy, Interval, initial_clip, iou
@@ -395,10 +398,10 @@ class TestReEditSkip:
 
         def counting_edit_all(*args):
             calls.append(args[0].copy())
-            return edit_all(*args)
+            return editor._edit_all(*args)
 
         module = importlib.import_module("clipedit.cotrain")
-        monkeypatch.setattr(module, "edit_all", counting_edit_all)
+        monkeypatch.setattr(module, "_edit_all", counting_edit_all)
         res = cotrain(warm, assignment, store, cc)
         best, final, teacher, clips, log, best_epoch, best_monitor, edits = cotrain_ref(
             warm, assignment, store, cc
@@ -424,6 +427,43 @@ class TestReEditSkip:
         }[mode]
         assert len(calls) == expected
         assert all(not a.equals(b) for a, b in zip(calls, calls[1:]))
+
+
+def run_files(out, best, teacher, log, edits):
+    """The bytes of the files `clipedit cotrain` writes from a run's results."""
+    out.mkdir()
+    (out / "cotrain_log.jsonl").write_text("".join(json.dumps(rec) + "\n" for rec in log), encoding="utf-8")
+    write_edits(out / "edits.jsonl", edits)
+    save_checkpoint(out / "model.student.cfp", best)
+    save_checkpoint(out / "model.teacher.cfp", teacher)
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestDecisionReuse:
+    @pytest.mark.parametrize("mode", TEACHER_MODES)
+    def test_writes_the_files_of_editing_every_epoch(self, mode, tmp_path, monkeypatch):
+        store, anns = small_corpus(noise=0.4, cap_noise=0.1, seed=5, n_train=10, n_test=2)
+        tc = fast_train(epochs=3)
+        warm, assignment = warmup(store, anns, MID, tc)
+        cc = CoTrainConfig(gamma=-1.0, patience=8, max_epochs=8,
+                           teacher_mode=mode, train=tc, edit=EditConfig(k=4))
+        calls, real = [], editor._edit_all
+
+        def spy(*args):
+            out = real(*args)
+            calls.append(out[1])
+            return out
+        monkeypatch.setattr(importlib.import_module("clipedit.cotrain"), "_edit_all", spy)
+        res = cotrain(warm, assignment, store, cc)
+        best, _, teacher, _, log, _, _, edits = cotrain_ref(warm, assignment, store, cc)
+        got = run_files(tmp_path / "cotrain", res.best_student, res.teacher, res.log, res.last_edits)
+        assert got == run_files(tmp_path / "ref", best, teacher, log, edits)
+        # with more than one edit, some captions keep their result and some change Top-K
+        for before, after in zip(calls, calls[1:]):
+            kept = [a is b for a, b in zip(before, after)]
+            changed = [a.topk_indices != b.topk_indices for a, b in zip(before, after)]
+            assert any(kept) and any(changed) and not any(k and c for k, c in zip(kept, changed))
+        assert len(calls) >= (2 if mode in ("update", "self") else 1)
 
 
 def store_snapshot(store):
@@ -485,8 +525,8 @@ class TestPoolingOncePerClipSet:
 
         def counting_edit_all(*args):
             edits.append(len(pool_calls))
-            return edit_all(*args)
-        monkeypatch.setattr(module, "edit_all", counting_edit_all)
+            return editor._edit_all(*args)
+        monkeypatch.setattr(module, "_edit_all", counting_edit_all)
         warm, assignment = warmup(self.store, self.anns, MID, fast_train(epochs=3))
         pool_calls.clear()
         cotrain(warm, assignment, self.store, self.cotrain_cfg("update", 8))

@@ -1,6 +1,6 @@
 """The package's only runtime dependency outside the standard library is numpy,
-each file format has one parser, and the initial-clip, unit-norm, Top-K and
-config-override rules have one copy each."""
+each file format has one parser, and the initial-clip, unit-norm, Top-K,
+rounding-bound and config-override rules have one copy each."""
 
 import ast
 import sys
@@ -88,6 +88,13 @@ def test_top_k_rule_has_one_copy():
     """Only `editor.top_k_segments` reads `.argsort` in the editor, so a second
     copy of the Top-K rule (a sort of segment scores) fails here."""
     assert top_level_uses(ROOT / "src" / "clipedit" / "editor.py", "argsort") == ["top_k_segments"]
+
+
+def test_rounding_bound_has_one_copy():
+    """Only `encoder._roundoff` reads `.finfo`, so a second derivation of the unit
+    roundoff and gamma_n (for a margin or an error bound) fails here."""
+    users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "finfo")]
+    assert users == [("encoder.py", "_roundoff")]
 
 
 def test_config_override_rule_has_one_copy():

@@ -20,7 +20,7 @@ from clipedit.editor import (
     top_k_segments,
     write_edits,
 )
-from clipedit.encoder import EncoderParams
+from clipedit.encoder import EncoderParams, embed_caption
 from clipedit.timeline import Interval, iou, segment_grid
 
 from oracles import consensus_ref, edit_ref, topk_ref
@@ -48,6 +48,20 @@ class TestTopK:
            st.integers(min_value=1, max_value=15))
     def test_matches_reference(self, sims, k):
         assert top_k_segments(np.array(sims), k) == topk_ref(sims, k)
+
+    @given(st.lists(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12),
+                    min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=15))
+    def test_padded_block_rows_match_one_row_calls(self, rows, k):
+        block = np.full((len(rows), max(map(len, rows))), -np.inf)
+        for i, row in enumerate(rows):
+            block[i, :len(row)] = row
+        want = [top_k_segments(np.array(row), k) for row in rows]
+        # padding sorts last, so it enters a row's Top-K only when k exceeds the row
+        assert top_k_segments(block, k) == [
+            w if k <= len(row) else w + list(range(len(row), min(k, block.shape[1])))
+            for w, row in zip(want, rows)
+        ]
 
 
 class TestEnumerateCandidates:
@@ -463,6 +477,105 @@ class TestBlockEditor:
         sims = np.array([0.2, np.nan, 0.9, np.nan, 0.1, 0.5])
         _, _, topk, _ = edit_from_sims(sims, unit_grid(6), Interval(0.0, 6.0), EditConfig(k=k))
         assert topk == tuple(top_k_segments(sims, k))
+
+
+def scoring_case(d, k, counts, rows, dtype, seed):
+    """A store with one video per clip, clip i spanning counts[i] one-second
+    segments of one row each, rows[i] giving each row's palette index (the
+    palette's last row is zero), and a random teacher with `dtype` weights."""
+    rng = np.random.default_rng(seed)
+    palette = np.vstack([rng.standard_normal((4, d)), np.zeros((1, d))]).astype(np.float32)
+    store, clips = FeatureStore(), {}
+    for i, (n, pick) in enumerate(zip(counts, rows)):
+        store.videos[f"v{i}"] = VideoRecord(f"v{i}", float(n), palette[pick])
+        store.caption_features[f"c{i}"] = rng.standard_normal(d).astype(np.float32)
+        clips[f"c{i}"] = ClipRef(f"v{i}", Interval(0.0, float(n)))
+    teacher = EncoderParams.init_random(d, rng=rng, dtype=dtype)
+    teacher.b_v[:] = rng.standard_normal(d) * rng.choice([0.0, 1.0])  # zero rows: z = b_v, or z = 0
+    return teacher, store, clips, EditConfig(k=k)
+
+
+def one_caption_top_k(teacher, store, clips, cfg):
+    """`top_k_segments` of each caption's one-caption scores, by caption id."""
+    return {
+        cid: top_k_segments(segment_similarities(
+            teacher, segment_features(store, ref.video_id, segment_grid(ref.interval, cfg.seg_len_s)),
+            store.caption_features[cid]), cfg.k)
+        for cid, ref in clips.items()
+    }
+
+
+@st.composite
+def scoring_cases(draw):
+    d = draw(st.integers(1, 70))
+    k = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.sampled_from([1, k, k + 1, k + 2, k + 7]), min_size=1, max_size=6))
+    # palette rows repeat within a clip (exact ties) and row 4 is zero (the norm clamp)
+    rows = [draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)) for n in counts]
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return d, k, counts, rows, dtype, draw(st.integers(0, 2**32 - 1))
+
+
+class TestBlockScores:
+    @given(scoring_cases())
+    @settings(max_examples=200, deadline=None)
+    @example((8, 2, [1, 2, 3, 9], [[0], [1, 1], [2, 2, 3], [0, 1, 2, 3, 4, 4, 1, 0, 2]], np.float32, 0))
+    @example((70, 3, [4, 4], [[0, 1, 2, 3], [4, 4, 4, 4]], np.float64, 1))
+    def test_block_top_k_equals_one_caption_top_k(self, case):
+        teacher, store, clips, cfg = scoring_case(*case)
+        _, results = edit_all(teacher, store, clips, cfg)
+        want = one_caption_top_k(teacher, store, clips, cfg)
+        assert {r.caption_id: list(r.topk_indices) for r in results} == want
+
+    def scored_again(self, case):
+        """The captions `_segment_scores` scores again, and whether Top-K still equals the reference."""
+        teacher, store, clips, cfg = scoring_case(*case)
+        with patch.object(editor, "_segment_scores", wraps=editor._segment_scores) as again:
+            _, results = edit_all(teacher, store, clips, cfg)
+        equal = {r.caption_id: list(r.topk_indices) for r in results} == one_caption_top_k(
+            teacher, store, clips, cfg)
+        return again.call_count, equal
+
+    def test_clips_of_at_most_k_segments_are_not_scored(self):
+        with patch.object(editor, "_block_scores", wraps=editor._block_scores) as block:
+            self.scored_again((8, 3, [1, 2, 3], [[0], [0, 1], [0, 1, 2]], np.float32, 0))
+        assert block.call_count == 0
+
+    def test_clear_gap_keeps_the_block_top_k(self):
+        assert self.scored_again((8, 2, [4, 4], [[0, 1, 2, 3], [3, 2, 1, 0]], np.float32, 0)) == (0, True)
+
+    @pytest.mark.parametrize("rows", [[0, 0, 0], [1, 2, 2], [4, 4, 4]], ids=["equal", "tie-at-k", "zero"])
+    def test_exact_tie_or_zero_row_is_scored_again(self, rows):
+        # clip c0 has a clear gap; c1's k-th and (k+1)-th rows are equal, or all its rows are zero
+        assert self.scored_again((8, 2, [3, 3], [[0, 1, 2], rows], np.float32, 3)) == (1, True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_near_tie_inside_the_margin_is_scored_again(self, dtype):
+        # two rows 16 ulps apart in one entry: their scores differ, by less than the bound
+        teacher, store, clips, cfg = scoring_case(8, 1, [2], [[0, 0]], dtype, 4)
+        rows = store.videos["v0"].features.astype(dtype)
+        rows[1, 0] += 16 * np.spacing(rows[1, 0])
+        store.videos["v0"] = VideoRecord("v0", 2.0, rows)
+        with patch.object(editor, "_segment_scores", wraps=editor._segment_scores) as again:
+            _, results = edit_all(teacher, store, clips, cfg)
+        scores, delta = encoder._block_scores(teacher, rows, np.tile(embed_caption(
+            teacher, store.caption_features["c0"]), (2, 1)))
+        assert 0 < abs(float(scores[0]) - float(scores[1])) <= 4 * delta.max()
+        assert again.call_count == 1
+        assert [list(r.topk_indices) for r in results] == list(one_caption_top_k(teacher, store, clips, cfg).values())
+
+    def test_bound_covers_both_products(self):
+        # the delta of each row covers the block score and the one-caption score of that row
+        rng = np.random.default_rng(9)
+        teacher = EncoderParams.init_random(40, rng=rng)
+        segs = (rng.standard_normal((50, 40)) * 10.0 ** rng.integers(-3, 3, (50, 1))).astype(np.float32)
+        cap = embed_caption(teacher, rng.standard_normal(40).astype(np.float32))
+        scores, delta = encoder._block_scores(teacher, segs, np.tile(cap, (50, 1)))
+        z = segs.astype(np.float64) @ teacher.W_v.T.astype(np.float64)
+        real = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ cap.astype(np.float64)
+        one = encoder._segment_scores(teacher, segs, cap.copy())
+        assert np.all(np.abs(scores - real) <= delta) and np.all(np.abs(one - real) <= delta)
+        assert np.all(delta < 1e-4)
 
 
 class TestWriteEdits:
