@@ -13,6 +13,19 @@ File formats (text UTF-8, binary little-endian), each read and written by one pa
       `captions.feat`, whose rows the JSON Lines `captions.idx` maps to caption_ids.
     `.cfp` checkpoints: b"CFP1", uint32 d_in, uint32 d_out, float64 tau, then
       W_v (d_out*d_in), b_v (d_out), W_c (d_out*d_in), b_c (d_out).
+
+Loading in bulk. `load_annotations` and `captions.idx` first take the bulk
+path: `_jsonl_columns` decodes a chunk of lines at a time with the decoder
+`read_jsonl` uses and keeps only each key's column, and every check runs as
+one set or array pass over a column. On any doubt (a blank line, a line that
+is not one UTF-8 JSON object, a check that fails) the loader runs its
+per-line loop over `read_jsonl`, which owns every error message; the bulk
+path raises nothing, and builds its objects (whose constructors log) only
+once every check has passed. `read_f32` reads a file's header and payload with
+one read, the payload straight into the array it returns, sized from the
+file; any doubt there reads the file whole again to name the fault. Memory:
+beyond what it returns, the bulk path holds its columns (lists of the
+returned values) and one chunk's decoded objects.
 """
 
 from __future__ import annotations
@@ -25,6 +38,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Iterator
 
@@ -97,7 +111,7 @@ class VideoRecord:
                 f"video {self.video_id}: {self.features.shape[0]} rows != "
                 f"ceil(duration {self.duration_s})"
             )
-        if not np.all(np.isfinite(self.features)):
+        if not np.isfinite(self.features).all():
             raise ValueError(f"video {self.video_id}: non-finite feature values")
 
 
@@ -229,15 +243,65 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
         raise _io_error(path, "read", exc) from exc
 
 
+# A key's value in `_jsonl_columns` on a line without it; no JSON value has its type, `object`.
+_ABSENT = object()
+
+# Bytes of lines `_jsonl_columns` decodes at once: about 100 annotation lines,
+# whose decoded objects are the bulk path's only memory beyond its columns.
+# 64 KiB chunks measured no faster and left the heap about 0.6 MB larger.
+_JSONL_CHUNK_BYTES = 16 * 1024
+
+
+def _jsonl_columns(path: Path, keys: tuple[str, ...]) -> list[list] | None:
+    """For each of `keys`, its value on every line of a JSON Lines file (`_ABSENT` where
+    a line lacks it), as `read_jsonl` decodes the line. None when the file cannot be
+    read or a line is blank or not one UTF-8 JSON object: `read_jsonl` then decides."""
+    cols: list[list] = [[] for _ in keys]
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.readlines(_JSONL_CHUNK_BYTES):
+                # a binary file's lines end at b"\n" only, as `read_jsonl`'s do
+                lines = b"".join(chunk).decode("utf-8").split("\n")
+                if not lines[-1]:
+                    lines.pop()  # the piece after the chunk's last "\n"
+                decoded = [_raw_decode(line) for line in lines]  # "" (a blank line) raises
+                objs = [obj for obj, _ in decoded]
+                if [end for _, end in decoded] != list(map(len, lines)) or set(map(type, objs)) != {dict}:
+                    return None
+                for col, key in zip(cols, keys):
+                    col += [obj.get(key, _ABSENT) for obj in objs]
+    except (OSError, ValueError, RecursionError):  # ValueError: not UTF-8, not JSON
+        return None
+    return cols
+
+
 def write_jsonl(path: str | Path, objs) -> None:
     """Write each object as one `json.dumps` line through `atomic_write`; no objects, an empty file."""
     atomic_write(path, "".join(json.dumps(obj) + "\n" for obj in objs))
 
 
 def read_f32(path: str | Path, magic: bytes, header: str, n_values) -> tuple[tuple, np.ndarray]:
-    """(header fields, read-only float32 payload) of a file that is `magic`, the `struct`
-    format `header`, then exactly `n_values(*fields)` float32-LE values. Errors name the
-    path as `Path(path)` prints it."""
+    """(header fields, float32 payload) of a file that is `magic`, the `struct` format
+    `header`, then exactly `n_values(*fields)` float32-LE values. One read fills the
+    header and the array returned, sized from the file's size. Errors name the path as
+    `Path(path)` prints it."""
+    start = len(magic) + struct.calcsize(header)
+    head = bytearray(start)
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            payload = np.empty(max(size - start, 0) // 4, dtype="<f4")
+            got = os.readv(fd, [head, payload, bytearray(1)])  # a byte past the end: the file grew
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _io_error(path, "read", exc) from exc
+    fields = struct.unpack_from(header, head, len(magic))
+    if got == size == start + 4 * n_values(*fields) and head.startswith(magic):
+        return fields, payload
+    del payload
+    # any doubt: read the file whole, and name what is wrong with it
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -245,14 +309,13 @@ def read_f32(path: str | Path, magic: bytes, header: str, n_values) -> tuple[tup
         raise _io_error(path, "read", exc) from exc
     if raw[:len(magic)] != magic:
         raise ValueError(f"{Path(path)}: bad magic bytes {raw[:len(magic)]!r}, expected {magic!r}")
-    start = len(magic) + struct.calcsize(header)
     if len(raw) < start:
         raise ValueError(f"{Path(path)}: truncated header")
     fields = struct.unpack(header, raw[len(magic):start])
     expect = start + 4 * n_values(*fields)
     if len(raw) != expect:
         raise ValueError(f"{Path(path)}: expected {expect} bytes, got {len(raw)}")
-    return fields, np.frombuffer(raw, dtype="<f4", offset=start)
+    return fields, np.frombuffer(raw, dtype="<f4", offset=start).copy()  # valid now: it changed
 
 
 def write_f32(path: str | Path, magic: bytes, header: str, fields: tuple, arrays) -> None:
@@ -279,6 +342,9 @@ def write_annotations(path: str | Path, annotations: list[CaptionAnnotation]) ->
     write_jsonl(path, map(_annotation_to_obj, annotations))
 
 
+_ANNOTATION_KEYS = ("caption_id", "video_id", "timestamp", "split", "gt_start", "gt_end", "text")
+
+
 def load_annotations(path: str | Path, store: FeatureStore | None = None) -> list[CaptionAnnotation]:
     """Parse and validate an annotation file, sorted by (video_id, timestamp).
 
@@ -286,9 +352,65 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
     initial clips need strictly ordered neighbours, so the second one is
     rejected. When `store` is given, every video_id must resolve, every
     timestamp and gt interval must lie within its video's span, and every
-    caption must have caption features.
+    caption must have caption features. The file is checked as columns
+    first; on any doubt the per-line loop decides and names the line.
     """
     path = Path(path)
+    out = _annotations_by_columns(path, store)
+    if out is None:
+        out = _annotations_by_line(path, store)
+    out.sort(key=lambda a: (a.video_id, a.timestamp_s))
+    return out
+
+
+def _annotations_by_columns(path: Path, store: FeatureStore | None) -> list[CaptionAnnotation] | None:
+    """`_annotations_by_line`'s result, its checks each one pass over a column of the
+    whole file; None, having built and logged nothing, when any check fails."""
+    cols = _jsonl_columns(path, _ANNOTATION_KEYS)
+    if cols is None:
+        return None
+    cid, vid, ts, split, gs, ge, text = cols
+    n = len(cid)
+    number = {int, float}  # exact types: a bool is an int to isinstance
+    ts_types, gt_types = set(map(type, ts)), set(map(type, gs)) | set(map(type, ge))
+    if not (set(map(type, cid)) | set(map(type, vid)) | set(map(type, split)) <= {str}
+            and set(split) <= {"train", "test"} and ts_types <= number
+            and gt_types <= number | {object} and set(map(type, text)) <= {str, object}):
+        return None
+    has_gt = None  # None: every line has a gt
+    if object in gt_types:
+        has_gt = [g is not _ABSENT for g in gs]
+        if has_gt != [g is not _ABSENT for g in ge]:
+            return None
+        gs, ge = list(compress(gs, has_gt)), list(compress(ge, has_gt))
+    try:
+        t, start, end = (np.array(col, dtype=np.float64) for col in (ts, gs, ge))
+    except OverflowError:  # an integer past float range
+        return None
+    t_s = ts if int not in ts_types else t.tolist()  # the decoded floats, unless an int needs `float`
+    # `CaptionAnnotation`'s and `Interval`'s checks, then both duplicate rules as set sizes
+    if not (np.isfinite(t).all() and ((0.0 <= start) & (start < end) & (end < np.inf)).all()
+            and len(set(cid)) == n and len(set(zip(vid, split, t_s))) == n):
+        return None
+    if store is not None:
+        if not (set(vid) <= store.videos.keys() and set(cid) <= store.caption_features.keys()):
+            return None
+        dur = np.array([store.videos[v].duration_s for v in vid], dtype=np.float64)
+        gt_dur = dur if has_gt is None else dur[np.array(has_gt, dtype=bool)]
+        # the timestamp in [0, duration], and a gt inside it by `_video`'s span rule
+        if not (((0.0 <= t) & (t <= dur)).all() and ((start >= -1e-9) & (end <= gt_dur + 1e-9)).all()):
+            return None
+    gts = list(map(Interval, *((gs, ge) if int not in gt_types else (start.tolist(), end.tolist()))))
+    if has_gt is not None:
+        it = iter(gts)
+        gts = [next(it) if has else None for has in has_gt]
+    texts = [None if x is _ABSENT else x for x in text]
+    return list(map(CaptionAnnotation, cid, vid, t_s, gts, split, texts))
+
+
+def _annotations_by_line(path: Path, store: FeatureStore | None) -> list[CaptionAnnotation]:
+    """`load_annotations`' loop, unsorted: each line read, checked and built in turn,
+    the first failing check raising its message."""
     out: list[CaptionAnnotation] = []
     line_of: dict[str, int] = {}  # caption_id -> line
     first_at: dict[tuple[str, str, float], str] = {}  # (video_id, split, timestamp) -> caption_id
@@ -297,8 +419,9 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
             raise ValueError(f"{path}:{lineno}: gt_start/gt_end must come together")
         # one expression per kind, not a loop per field: this runs once per line
         if not (isinstance(obj["caption_id"], str) and isinstance(obj["video_id"], str)
-                and isinstance(obj["split"], str)):
-            key = next(k for k in ("caption_id", "video_id", "split") if not isinstance(obj[k], str))
+                and isinstance(obj["split"], str) and isinstance(obj.get("text", ""), str)):
+            key = next(k for k in ("caption_id", "video_id", "split", "text")
+                       if not isinstance(obj.get(k, ""), str))
             raise ValueError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
         # exact types: a bool is an int to isinstance
         if type(obj["timestamp"]) not in (int, float) or "gt_start" in obj and (
@@ -314,7 +437,7 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                 timestamp_s=float(obj["timestamp"]),
                 gt_interval=gt,
                 split=obj["split"],
-                text=str(obj["text"]) if "text" in obj else None,
+                text=obj.get("text"),
             )
         except (ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
@@ -343,7 +466,6 @@ def load_annotations(path: str | Path, store: FeatureStore | None = None) -> lis
                 f"timestamp {ann.timestamp_s} as the caption at {path}:{line_of[first]}"
             )
         out.append(ann)
-    out.sort(key=lambda a: (a.video_id, a.timestamp_s))
     return out
 
 
@@ -360,7 +482,7 @@ def write_feat_matrix(path: str | Path, matrix: np.ndarray) -> None:
 
 def read_feat_matrix(path: str | Path) -> np.ndarray:
     (dim, n_rows), flat = read_f32(path, FEAT_MAGIC, _FEAT_HEADER, lambda dim, n_rows: dim * n_rows)
-    return flat.reshape(n_rows, dim).copy()
+    return flat.reshape(n_rows, dim)
 
 
 def write_features(dir_path: str | Path, store: FeatureStore) -> None:
@@ -421,31 +543,48 @@ def load_features(dir_path: str | Path) -> FeatureStore:
         idx_path = dir_path / "captions.idx"
         if not idx_path.exists():
             raise ValueError(f"{cap_path} present but {idx_path} missing")
-        non_finite = ~np.isfinite(cap_matrix).all(axis=1)
-        zero = ~cap_matrix.any(axis=1)
-        line_of: dict[str, int] = {}  # caption_id -> line
-        for lineno, obj in read_jsonl(idx_path, ("caption_id", "row")):
-            cid, row = obj["caption_id"], obj["row"]
-            if not isinstance(cid, str) or type(row) is not int:  # a bool is an int to isinstance
-                raise ValueError(
-                    f"{idx_path}:{lineno}: malformed index line: caption_id must be a string "
-                    f"and row an integer, got {cid!r} and {row!r}"
-                )
-            if line_of.setdefault(cid, lineno) != lineno:
-                raise _duplicate(line_of, cid, idx_path, lineno)
-            if not 0 <= row < cap_matrix.shape[0]:
-                raise ValueError(
-                    f"{idx_path}:{lineno}: row {row} out of range for the "
-                    f"{cap_matrix.shape[0]} rows of {cap_path}"
-                )
-            if non_finite[row] or zero[row]:
-                what = "non-finite" if non_finite[row] else "zero-norm"
-                raise ValueError(
-                    f"{idx_path}:{lineno}: caption {cid!r} has {what} features "
-                    f"(row {row} of {cap_path})"
-                )
-            store.caption_features[cid] = cap_matrix[row]
+        store.caption_features = _caption_rows(idx_path, cap_path, cap_matrix)
     return store
+
+
+def _caption_rows(idx_path: Path, cap_path: Path, cap_matrix: np.ndarray) -> dict[str, np.ndarray]:
+    """caption_id -> its row of `cap_matrix` (a view), by `captions.idx`: string ids, each
+    once, integer rows in range whose features are finite and not all zero. The file is
+    checked as columns first; on any doubt the per-line loop decides and names the line."""
+    non_finite = ~np.isfinite(cap_matrix).all(axis=1)
+    zero = ~cap_matrix.any(axis=1)
+    cols = _jsonl_columns(idx_path, ("caption_id", "row"))
+    if cols is not None:
+        cids, rows = cols
+        if (set(map(type, cids)) <= {str} and set(map(type, rows)) <= {int}  # a bool is not an int
+                and len(set(cids)) == len(cids)
+                and (not rows or 0 <= min(rows) and max(rows) < cap_matrix.shape[0])
+                and not (non_finite | zero)[rows].any()):
+            return dict(zip(cids, map(cap_matrix.__getitem__, rows)))
+    out: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}  # caption_id -> line
+    for lineno, obj in read_jsonl(idx_path, ("caption_id", "row")):
+        cid, row = obj["caption_id"], obj["row"]
+        if not isinstance(cid, str) or type(row) is not int:  # a bool is an int to isinstance
+            raise ValueError(
+                f"{idx_path}:{lineno}: malformed index line: caption_id must be a string "
+                f"and row an integer, got {cid!r} and {row!r}"
+            )
+        if line_of.setdefault(cid, lineno) != lineno:
+            raise _duplicate(line_of, cid, idx_path, lineno)
+        if not 0 <= row < cap_matrix.shape[0]:
+            raise ValueError(
+                f"{idx_path}:{lineno}: row {row} out of range for the "
+                f"{cap_matrix.shape[0]} rows of {cap_path}"
+            )
+        if non_finite[row] or zero[row]:
+            what = "non-finite" if non_finite[row] else "zero-norm"
+            raise ValueError(
+                f"{idx_path}:{lineno}: caption {cid!r} has {what} features "
+                f"(row {row} of {cap_path})"
+            )
+        out[cid] = cap_matrix[row]
+    return out
 
 
 # --------------------------------------------------------------------------

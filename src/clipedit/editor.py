@@ -226,9 +226,11 @@ def _top_ks(
             continue
         clip = np.repeat(np.arange(hi - lo), n)
         pos = np.arange(clip.size) - first[clip]  # each segment's index in its clip
-        sel = n[clip] > cfg.k
-        clip, pos = clip[sel], pos[sel]
-        scores, delta = _block_scores(teacher, segs[sel], caps[lo + clip])
+        rows = segs
+        if long.size < hi - lo:  # only the rows of clips with n > k, copied
+            sel = n[clip] > cfg.k
+            clip, pos, rows = clip[sel], pos[sel], segs[sel]
+        scores, delta = _block_scores(teacher, rows, caps[lo + clip])
         # row j of S and D holds clip long[j], padded with -inf scores and zero bounds
         S = np.full((long.size, int(n[long].max())), -np.inf, dtype=scores.dtype)
         D = np.zeros(S.shape)

@@ -502,10 +502,13 @@ class TestCliExitCodes:
         ({"caption_id": None}, "caption_id must be a string"),
         ({"video_id": 7}, "video_id must be a string"),
         ({"split": ["train"]}, "split must be a string"),
+        ({"text": None}, "text must be a string, got None"),
+        ({"text": {"x": 1}}, "text must be a string, got {'x': 1}"),
         ({"gt_end": 35.0}, "35.0] outside video"),  # the synthetic videos are 30 s long
     ], ids=["int", "null", "timestamp-null", "timestamp-list", "gt_start-null",
             "timestamp-bool", "timestamp-str", "gt_start-str", "gt_end-bool",
-            "caption_id-null", "video_id-int", "split-list", "gt_end-past-video"])
+            "caption_id-null", "video_id-int", "split-list", "text-null", "text-object",
+            "gt_end-past-video"])
     def test_bad_annotation_line_exits_2(self, tmp_path, capsys, bad_line, what):
         cfg_path, corpus = tiny_cli_args(tmp_path, "corpus")
         assert main(["synth", "--config", cfg_path, "--out", corpus]) == 0

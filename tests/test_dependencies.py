@@ -1,6 +1,6 @@
 """The package's only runtime dependency outside the standard library is numpy,
-each file format has one parser, and the initial-clip, unit-norm, Top-K,
-rounding-bound and config-override rules have one copy each."""
+each file format has one parser (JSON Lines one decoder), and the initial-clip,
+unit-norm, Top-K, rounding-bound and config-override rules have one copy each."""
 
 import ast
 import sys
@@ -63,6 +63,25 @@ def test_float32_containers_have_one_parser():
     assert importers == [("corpus.py", "struct")]
     users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "frombuffer")]
     assert users == [("corpus.py", "read_f32")]
+
+
+def test_json_lines_have_one_decoder():
+    """Only `corpus`'s two line readers, `read_jsonl` (per line) and `_jsonl_columns`
+    (in bulk), decode JSON Lines, both with `_raw_decode` (bound once at module level),
+    and only `read_jsonl` calls `json.loads` in `corpus`; `cli` and `config` call it on
+    whole JSON files. So the bulk and per-line paths cannot drift into two decoders."""
+    users = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        users += [
+            (path.name, getattr(stmt, "name", "<module>")) for stmt in tree.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id == "_raw_decode"
+            or isinstance(node, ast.Attribute) and node.attr in ("loads", "raw_decode", "scan_once", "JSONDecoder")
+        ]
+    assert sorted(set(users)) == [
+        ("cli.py", "_check_outputs"), ("config.py", "_json_or_str"), ("config.py", "load_config_dict"),
+        ("corpus.py", "<module>"), ("corpus.py", "_jsonl_columns"), ("corpus.py", "read_jsonl"),
+    ]
 
 
 def test_csv_files_have_one_writer():
