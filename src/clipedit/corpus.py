@@ -531,7 +531,7 @@ def load_features(dir_path: str | Path) -> FeatureStore:
             continue
         if not matrix.shape[0]:
             raise ValueError(f"{path}: video has no feature rows")
-        video_id = os.path.splitext(name)[0]  # `Path.stem`: ".feat" stays ".feat"
+        video_id = name[:-5] if len(name) > 5 else name  # `Path.stem`: ".feat" stays ".feat"
         try:
             store.videos[video_id] = VideoRecord(
                 video_id=video_id, duration_s=float(matrix.shape[0]), features=matrix

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,38 +78,50 @@ def _query_ranks(U: np.ndarray, V: np.ndarray, targets: np.ndarray) -> np.ndarra
     """`rank_of(U @ V[q], targets[q])` for every query row q of V.
 
     Scores come from `V[block] @ U.T`, one block of queries at a time. A
-    query whose other clips all score outside the margin M of its true
-    clip is ranked from the block. The rest (near ties, exact ties, NaN)
-    are ranked again by the one-item `rank_of(U @ v, t)` on a fresh copy
-    of the query, so `rank_of`'s index tie-break decides exact ties.
+    query whose best other clip scores below s_t - M, its true clip's
+    score less the margin, has rank 1: one max pass certifies it. The
+    other queries are counted: one whose other clips all score outside
+    the margin is ranked from the block. The rest (near ties, exact ties,
+    NaN) are ranked again by the one-item `rank_of(U @ v, t)` on a fresh
+    copy of the query, so `rank_of`'s index tie-break decides exact ties.
     """
     score_dtype = np.result_type(U, V)
     M = _margin(U.shape[1], U.dtype, V.dtype, score_dtype)
     block = max(1, _SCORE_BLOCK_BYTES // (U.shape[0] * score_dtype.itemsize))
-    ranks = np.empty(V.shape[0], dtype=np.int64)
+    ranks = np.ones(V.shape[0], dtype=np.int64)
     for lo in range(0, V.shape[0], block):
         S = V[lo:lo + block] @ U.T
         t = targets[lo:lo + block]
-        s_t = S[np.arange(S.shape[0]), t][:, None]
+        rows = np.arange(S.shape[0])
+        s_t = S[rows, t]
+        S[rows, t] = -np.inf
+        # NaN, an infinite M and exact ties fail `<`, so they are counted
+        counted = np.flatnonzero(~(S.max(axis=1) < s_t - M))
+        S[rows, t] = s_t
+        if not counted.size:
+            continue
+        S, t, s_t, q = S[counted], t[counted], s_t[counted, None], lo + counted
         # int32 sums count a boolean block faster than np.count_nonzero
         better = np.sum(S > s_t + M, axis=1, dtype=np.int32)
         near = np.sum(S >= s_t - M, axis=1, dtype=np.int32) - better - 1
-        ranks[lo:lo + block] = better + 1
+        ranks[q] = better + 1
         for i in np.flatnonzero(near != 0):
-            ranks[lo + i] = rank_of(U @ V[lo + i].copy(), int(t[i]))
+            ranks[q[i]] = rank_of(U @ V[q[i]].copy(), int(t[i]))
     return ranks
 
 
-def recall_at_k(ranks: list[int], k: int) -> float:
-    if not ranks:
+def recall_at_k(ranks: np.ndarray | list[int], k: int) -> float:
+    ranks = np.asarray(ranks)
+    if not ranks.size:
         raise ValueError("recall over empty rank list")
-    return sum(1 for r in ranks if r <= k) / len(ranks)
+    return int(np.count_nonzero(ranks <= k)) / ranks.size
 
 
-def median_rank(ranks: list[int]) -> float:
-    if not ranks:
+def median_rank(ranks: np.ndarray | list[int]) -> float:
+    ranks = np.asarray(ranks)
+    if not ranks.size:
         raise ValueError("median of empty rank list")
-    return float(statistics.median(ranks))
+    return float(np.median(ranks))
 
 
 def evaluate_retrieval(
@@ -140,7 +151,7 @@ def _evaluate_pooled(params: EncoderParams, store: FeatureStore, queries: list[s
     gal_pos = {cid: i for i, cid in enumerate(gallery_ids)}
     U = embed_clips(params, pooled, gallery_ids)
     V = embed_captions(params, [store.caption_features[q] for q in queries], queries)
-    ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries])).tolist()
+    ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries]))
     return RetrievalMetrics(
         r_at={k: recall_at_k(ranks, k) for k in R_AT_KS},
         med_r=median_rank(ranks),

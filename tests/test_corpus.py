@@ -228,6 +228,16 @@ class TestFeatureFiles:
         for name in ("v.feat", "captions.feat", "captions.idx"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    @pytest.mark.parametrize("video_id", [".", "..", "a.b", ".a"])
+    def test_video_id_is_the_file_stem(self, tmp_path, video_id):
+        # "..feat" is video "." as `Path.stem` reads it, not "..feat" as splitext does
+        feats = np.arange(6, dtype=np.float32).reshape(3, 2)
+        write_features(tmp_path, make_store({video_id: feats}, {}))
+        assert [p.stem for p in tmp_path.glob("*.feat")] == [video_id]
+        back = load_features(tmp_path)
+        assert list(back.videos) == [video_id]
+        assert np.array_equal(back.videos[video_id].features, feats)
+
     def test_dimension_mismatch_names_both_files(self, tmp_path):
         write_feat_matrix(tmp_path / "a.feat", np.ones((2, 3), dtype=np.float32))
         write_feat_matrix(tmp_path / "b.feat", np.ones((2, 4), dtype=np.float32))

@@ -1,5 +1,7 @@
 import csv
 import json
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +79,26 @@ class TestMedianRank:
     @given(ranks_lists)
     def test_reverse_invariant(self, ranks):
         assert median_rank(ranks) == median_rank(list(reversed(ranks)))
+
+
+class TestRankMetricsFromArray:
+    """The int64 rank array `_query_ranks` returns gives the floats of the list forms."""
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=80),
+           st.integers(min_value=0, max_value=10**6))
+    def test_match_list_forms(self, ranks, k):
+        arr = np.array(ranks, dtype=np.int64)
+        r = recall_at_k(arr, k)
+        assert type(r) is float and r == sum(1 for x in ranks if x <= k) / len(ranks)
+        m = median_rank(arr)  # an even count averages its two middle ranks
+        assert type(m) is float and m == float(statistics.median(ranks))
+
+    def test_empty_array_messages(self):
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="^recall over empty rank list$"):
+            recall_at_k(empty, 1)
+        with pytest.raises(ValueError, match="^median of empty rank list$"):
+            median_rank(empty)
 
 
 def separable_store(n: int, d: int = 16):
@@ -315,6 +337,169 @@ class TestBatchedRetrievalExact:
         store.caption_features["c2"] = (3e38 * (-1.0) ** np.arange(16)).astype(np.float32)
         with pytest.raises(ValueError, match="^degenerate embedding: non-finite-norm caption 'c2'$"):
             evaluate_retrieval(EncoderParams.identity(16, dtype=np.float32), store, sorted(gallery), gallery)
+
+
+
+class SpyNumpy:
+    """`numpy` as `evalrep` sees it, adding up the rows of every 2-D `np.sum`:
+    the rows the kernel counts, once per counting pass (`rank_of` sums 1-D rows)."""
+
+    def __init__(self):
+        self.summed_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sum(self, a, *args, **kwargs):
+        if np.ndim(a) > 1:
+            self.summed_rows += a.shape[0]
+        return np.sum(a, *args, **kwargs)
+
+
+def spy_numpy(monkeypatch):
+    spy = SpyNumpy()
+    monkeypatch.setattr(evalrep, "np", spy)
+    return spy
+
+
+def direct_ranks(U, V, targets):
+    return [rank_of(U @ V[q], int(targets[q])) for q in range(V.shape[0])]
+
+
+class TestRankCertificate:
+    """A query whose best other clip scores below s_t - M is ranked 1 by one
+    max pass; every other query is counted as before the certificate."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(2, 40), d=st.sampled_from([3, 8, 16]),
+           dtype=st.sampled_from([np.float32, np.float64]), high_r1=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 3, 7]))
+    def test_match_one_item_loop(self, n, d, dtype, high_r1, seed, block):
+        # high R@1: identity params, captions near their clips; low: random params, noisy captions
+        rng = np.random.default_rng(seed)
+        if high_r1:
+            store, gallery = random_store(rng, n, d, dtype, cap_noise=0.05)
+            p = EncoderParams.identity(d, dtype=dtype)
+        else:
+            store, gallery = random_store(rng, n, d, dtype, n_videos=max(1, n // 4), cap_noise=2.0)
+            p = EncoderParams.init_random(d, rng=rng)
+        queries = sorted(gallery)
+        saved = evalrep._SCORE_BLOCK_BYTES
+        try:
+            evalrep._SCORE_BLOCK_BYTES = block * n * 8  # several blocks of queries
+            assert kernel_ranks(p, store, queries, gallery) == ranks_ref(p, store, queries, gallery)
+            assert evaluate_retrieval(p, store, queries, gallery) == metrics_ref(
+                p, store, queries, gallery)
+        finally:
+            evalrep._SCORE_BLOCK_BYTES = saved
+
+    def test_regimes_are_exercised(self):
+        # the two regimes above do rank mostly first and mostly not first
+        rng = np.random.default_rng(5)
+        store, gallery = random_store(rng, 40, 16, np.float64, cap_noise=0.05)
+        high = evaluate_retrieval(EncoderParams.identity(16), store, sorted(gallery), gallery)
+        store, gallery = random_store(rng, 40, 16, np.float32, n_videos=10, cap_noise=2.0)
+        low = evaluate_retrieval(EncoderParams.init_random(16, rng=rng), store, sorted(gallery), gallery)
+        assert high.r_at[1] >= 0.9 and low.r_at[1] <= 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leader_with_a_clip_inside_the_margin_is_counted(self, dtype, monkeypatch):
+        # query 1's true clip leads; clip 0 scores M/2 below it, inside the band
+        d = 8
+        M = evalrep._margin(d, np.dtype(dtype))
+        U = np.zeros((4, d), dtype=dtype)
+        U[0, 0] = 1 - M / 2
+        U[1, 0] = U[2, 2] = U[3, 3] = 1.0
+        V = np.eye(4, d, dtype=dtype)[[2, 0, 3]]
+        targets = np.array([2, 1, 3])
+        monkeypatch.setattr(evalrep, "_SCORE_BLOCK_BYTES", 2 * 4 * np.dtype(dtype).itemsize)
+        s = U @ V[1]
+        assert 0 < s[1] - s[0] < M
+        calls = counting_rank_of(monkeypatch)
+        ranks = evalrep._query_ranks(U, V, targets)
+        assert ranks.tolist() == direct_ranks(U, V, targets) == [1, 1, 1]
+        assert calls == [1]  # only the near leader reaches rank_of
+
+    def test_clip_exactly_at_the_band_edge_is_counted(self, monkeypatch):
+        # clip 1 scores exactly s_t - M: the band is closed, so rank_of decides
+        d = 4
+        M = evalrep._margin(d, np.dtype(np.float64))
+        c = np.float64(1.0) - M
+        U = np.zeros((3, d))
+        U[0, 0] = U[2, 2] = 1.0
+        U[1, 0], U[1, 1] = c, np.sqrt(1.0 - c * c)
+        V = np.eye(d)[[0, 2]]
+        targets = np.array([0, 2])
+        assert (U @ V[0])[1] == c
+        calls = counting_rank_of(monkeypatch)
+        ranks = evalrep._query_ranks(U, V, targets)
+        assert ranks.tolist() == direct_ranks(U, V, targets) == [1, 1]
+        assert calls == [0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_tie_is_not_certified(self, dtype, block_bytes, monkeypatch):
+        # c1's clip is bit-identical to c0's: c1 ties with a lower index
+        # (rank 2), c0 with a higher one (rank 1); both reach rank_of
+        store, gallery = separable_store(6)
+        gallery["c1"] = gallery["c0"]
+        store.caption_features["c1"] = store.caption_features["c0"]
+        p = EncoderParams.identity(16, dtype=dtype)
+        block_bytes(6, np.dtype(dtype).itemsize)
+        queries = sorted(gallery)
+        calls = counting_rank_of(monkeypatch)
+        ranks = kernel_ranks(p, store, queries, gallery)
+        assert ranks == ranks_ref(p, store, queries, gallery) == [1, 2, 1, 1, 1, 1]
+        assert sorted(calls) == [0, 1]
+
+    def test_every_row_certified_counts_nothing(self, monkeypatch):
+        store, gallery = separable_store(12)
+        p = EncoderParams.identity(16)
+        monkeypatch.setattr(evalrep, "_SCORE_BLOCK_BYTES", 4 * 12 * 8)  # 3 blocks
+        queries = sorted(gallery)
+        calls = counting_rank_of(monkeypatch)
+        spy = spy_numpy(monkeypatch)
+        ranks = kernel_ranks(p, store, queries, gallery)
+        assert ranks == ranks_ref(p, store, queries, gallery) == [1] * 12
+        assert calls == [] and spy.summed_rows == 0
+
+    def test_only_uncertified_rows_are_counted(self, monkeypatch):
+        # queries c0..c3 ask for their own clips (certified); c4..c7 ask with
+        # c0..c3's captions, so their rows are counted, twice each
+        store, gallery = separable_store(8)
+        for i in range(4, 8):
+            store.caption_features[f"c{i}"] = store.caption_features[f"c{i - 4}"]
+        p = EncoderParams.identity(16)
+        monkeypatch.setattr(evalrep, "_SCORE_BLOCK_BYTES", 3 * 8 * 8)
+        queries = sorted(gallery)
+        spy = spy_numpy(monkeypatch)
+        ranks = kernel_ranks(p, store, queries, gallery)
+        assert ranks == ranks_ref(p, store, queries, gallery)
+        assert ranks[:4] == [1] * 4 and min(ranks[4:]) > 1
+        assert spy.summed_rows == 2 * 4
+
+    @pytest.mark.parametrize("target", ["own", "shuffled"], ids=["r1_near_1", "r1_near_0"])
+    def test_peak_memory_within_the_block_budget(self, target):
+        # a 10,000-clip float32 gallery at d=32 and 10 blocks of 64 queries
+        rng = np.random.default_rng(0)
+        U = rng.standard_normal((10_000, 32)).astype(np.float32)
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        q = rng.choice(10_000, 640, replace=False)
+        V = U[q].copy()
+        targets = q if target == "own" else rng.permutation(q)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ranks = evalrep._query_ranks(U, V, targets)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        r1 = float(np.mean(ranks == 1))
+        assert r1 > 0.99 if target == "own" else r1 < 0.01
+        assert peak <= 3.5 * evalrep._SCORE_BLOCK_BYTES
 
 
 class TestIoUHistogram:
