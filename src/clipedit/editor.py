@@ -158,8 +158,11 @@ def _decide(
     # a padding candidate is [-2, -1): it overlaps no clip, so it adds exact zeros
     starts = np.where(valid, segment_bounds(*grid, a)[0], -2.0)
     ends = np.where(valid, segment_bounds(*grid, b)[1], -1.0)
-    keys = np.where(valid, np.sum(ious(starts[:, :, None], ends[:, :, None], starts[:, None, :],
-                                       ends[:, None, :]), axis=2), -np.inf)
+    # `ious` is symmetric bit for bit: fill one triangle of each (C, C) matrix and mirror it
+    iu, ju = np.triu_indices(len(ia))
+    pair_ious = np.empty((len(tops), len(ia), len(ia)))
+    pair_ious[:, iu, ju] = pair_ious[:, ju, iu] = ious(starts[:, iu], ends[:, iu], starts[:, ju], ends[:, ju])
+    keys = np.where(valid, np.sum(pair_ious, axis=2), -np.inf)
     sure = np.sum(keys + _lead_bound(len(ia)) >= keys.max(axis=1)[:, None], axis=1) == 1
     win = keys.argmax(axis=1)
     for i in np.flatnonzero(~sure & (m >= 2)).tolist():  # a near or exact tie

@@ -11,12 +11,23 @@ with analytic gradients (no autodiff dependency); a projection whose norm
 is not finite, or a weight that an optimizer step leaves non-finite,
 raises `NumericError`.
 
+The four weight tensors are views of one contiguous buffer, in `_TENSORS`
+order (`_Layout`). Each starts a multiple of `_ALIGN` elements from the buffer
+start (64 bytes of float32), with zero padding between tensors where a size
+is not a multiple, so no view is less aligned than a fresh array. A training
+step runs over that buffer: `_info_nce` writes its gradients into one float64
+buffer of the same layout, and the optimizers update the weights and their
+moments in place, bit for bit as the textbook per-tensor step would.
+
 Checkpoints `.cfp` are float32 containers (`corpus.read_f32`); the
-`corpus` module docstring describes their layout.
+`corpus` module docstring describes their layout. Their payload is the four
+tensors back to back, without the padding, so the bytes do not depend on
+the buffer layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,28 +42,94 @@ _CKPT_HEADER = "<IId"  # d_in, d_out, tau
 
 _EPS = 1e-12
 
-# The weight tensors, in field and checkpoint order.
+# The weight tensors, in field, buffer and checkpoint order.
 _TENSORS = ("W_v", "b_v", "W_c", "b_c")
+
+# Each tensor starts a multiple of _ALIGN elements into the flat buffer: 64 bytes
+# of float32, 128 of float64, so no view is less aligned than a fresh array.
+_ALIGN = 16
 
 
 class NumericError(RuntimeError):
     """Raised when a loss, gradient or trained weight stops being finite."""
 
 
-@dataclass
-class EncoderParams:
-    W_v: np.ndarray
-    b_v: np.ndarray
-    W_c: np.ndarray
-    b_c: np.ndarray
-    tau: float = 0.07
+class _Layout:
+    """Where the weight tensors of a (d_out, d_in) encoder sit in a flat buffer:
+    in `_TENSORS` order, each starting a multiple of `_ALIGN` elements from the
+    buffer start, with zeros between them. `payload` indexes the checkpoint's
+    values, the tensors back to back, in the buffer: a slice when unpadded."""
 
-    def __post_init__(self) -> None:
-        d_out, d_in = self.W_v.shape
-        if self.W_c.shape != (d_out, d_in):
-            raise ValueError(f"W_c shape {self.W_c.shape} != W_v shape {self.W_v.shape}")
-        if self.b_v.shape != (d_out,) or self.b_c.shape != (d_out,):
+    def __init__(self, d_out: int, d_in: int) -> None:
+        self.shapes = {"W_v": (d_out, d_in), "b_v": (d_out,), "W_c": (d_out, d_in), "b_c": (d_out,)}
+        self.slices, start = {}, 0
+        for name in _TENSORS:
+            self.slices[name] = slice(start, start + math.prod(self.shapes[name]))
+            start = -(-self.slices[name].stop // _ALIGN) * _ALIGN
+        self.size = self.slices["b_c"].stop
+        self.payload = (slice(0, self.size) if self.size == 2 * d_out * (d_in + 1)
+                        else np.concatenate([np.arange(s.start, s.stop) for s in self.slices.values()]))
+
+    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor by name, as a view of `buf`."""
+        return {name: buf[s].reshape(self.shapes[name]) for name, s in self.slices.items()}
+
+    def pack(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
+        """A fresh flat buffer holding `tensors`, one per name, in their common dtype."""
+        buf = np.zeros(self.size, dtype=np.result_type(*tensors.values()))
+        for name, view in self.views(buf).items():
+            view[...] = tensors[name]
+        return buf
+
+
+_layout = functools.lru_cache(maxsize=None)(_Layout)
+
+
+def _first_nonfinite(buf: np.ndarray, views: dict[str, np.ndarray]) -> str | None:
+    """The first of `views` (tensors of `buf`) holding a non-finite value, or None.
+    One scan covers the buffer; the tensors are scanned only to name one."""
+    if np.isfinite(buf).all():
+        return None
+    return next((name for name, view in views.items() if not np.isfinite(view).all()), None)
+
+
+def _tensor(name: str) -> property:
+    def get(self: "EncoderParams") -> np.ndarray:
+        return self._views[name]
+
+    def put(self: "EncoderParams", value) -> None:
+        self._views[name][...] = value
+
+    return property(get, put, doc=f"{name}, a view of the flat weight buffer; assigning copies into it")
+
+
+class EncoderParams:
+    """W_v (d_out, d_in), b_v (d_out,), W_c (d_out, d_in), b_c (d_out,) and tau.
+
+    The four tensors are views of one contiguous buffer, laid out by
+    `_Layout`: `copy`, `equals`, the finiteness check, the optimizers and the
+    checkpoint code each work on the buffer at once. Assigning a tensor copies
+    into its view. All four share one dtype: a tensor whose dtype is not
+    W_v's is a ValueError that names it.
+    """
+
+    W_v, b_v, W_c, b_c = map(_tensor, _TENSORS)
+
+    def __init__(self, W_v, b_v, W_c, b_c, tau: float = 0.07) -> None:
+        tensors = dict(zip(_TENSORS, map(np.asarray, (W_v, b_v, W_c, b_c))))
+        d_out, d_in = tensors["W_v"].shape
+        if tensors["W_c"].shape != (d_out, d_in):
+            raise ValueError(f"W_c shape {tensors['W_c'].shape} != W_v shape {tensors['W_v'].shape}")
+        if tensors["b_v"].shape != (d_out,) or tensors["b_c"].shape != (d_out,):
             raise ValueError("bias shapes must be (d_out,)")
+        dtype = tensors["W_v"].dtype
+        if (name := next((n for n, t in tensors.items() if t.dtype != dtype), None)) is not None:
+            raise ValueError(f"{name} dtype {tensors[name].dtype} != W_v dtype {dtype}")
+        self._init(_layout(d_out, d_in).pack(tensors), d_out, d_in, tau)
+
+    def _init(self, buf: np.ndarray, d_out: int, d_in: int, tau: float) -> None:
+        self._layout = _layout(d_out, d_in)
+        self._buf, self._views, self.tau = buf, self._layout.views(buf), tau
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not math.isfinite(self.tau):
@@ -60,9 +137,19 @@ class EncoderParams:
         if (name := self._nonfinite()) is not None:
             raise ValueError(f"non-finite values in {name}")
 
+    @classmethod
+    def _of(cls, buf: np.ndarray, d_out: int, d_in: int, tau: float) -> "EncoderParams":
+        """Params whose weights are `buf`, a flat buffer in the (d_out, d_in) layout (not copied)."""
+        params = cls.__new__(cls)
+        params._init(buf, d_out, d_in, tau)
+        return params
+
+    def __reduce__(self):
+        return EncoderParams._of, (self._buf, self.d_out, self.d_in, self.tau)
+
     def _nonfinite(self) -> str | None:
         """The first weight tensor holding a non-finite value, or None."""
-        return next((n for n in _TENSORS if not np.isfinite(getattr(self, n)).all()), None)
+        return _first_nonfinite(self._buf, self._views)
 
     @property
     def d_in(self) -> int:
@@ -95,15 +182,14 @@ class EncoderParams:
         """Both projections the identity: embeddings are normalized inputs."""
         eye = np.eye(d, dtype=dtype)
         zero = np.zeros(d, dtype=dtype)
-        return cls(W_v=eye.copy(), b_v=zero.copy(), W_c=eye.copy(), b_c=zero.copy(), tau=tau)
+        return cls(W_v=eye, b_v=zero, W_c=eye, b_c=zero, tau=tau)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(*(getattr(self, n).copy() for n in _TENSORS), tau=self.tau)
+        return EncoderParams._of(self._buf.copy(), self.d_out, self.d_in, self.tau)
 
     def equals(self, other: "EncoderParams") -> bool:
-        return self.tau == other.tau and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in _TENSORS
-        )
+        return (self.tau == other.tau and self.W_v.shape == other.W_v.shape
+                and np.array_equal(self._buf, other._buf))
 
 
 @dataclass(frozen=True)
@@ -270,10 +356,15 @@ def info_nce(
     if not 0 < len(clip_batch) == cap_feats.shape[0]:
         raise ValueError(f"batch mismatch: {len(clip_batch)} clips vs {cap_feats.shape[0]} captions")
     means = np.stack([np.asarray(sf).mean(axis=0) for sf in clip_batch])  # (B, d_in)
-    return _info_nce(params, means, cap_feats, with_grads)
+    if not with_grads:
+        return _info_nce(params, means, cap_feats, None), None
+    grads = np.zeros(params._layout.size)
+    return _info_nce(params, means, cap_feats, grads), params._layout.views(grads)
 
 
-def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, with_grads: bool):
+def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, grads: np.ndarray | None) -> float:
+    """`info_nce`'s loss on pooled rows. Given `grads`, a float64 flat buffer in
+    the params' layout, also writes the four gradients into their views of it."""
     B = len(means)
     tau = params.tau
 
@@ -299,65 +390,97 @@ def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, w
     if bad.size:
         raise NumericError(f"non-finite loss contribution at batch index {int(bad[0])}")
     loss = float(terms.sum())
-    if not with_grads:
-        return loss, None
+    if grads is None:
+        return loss
 
-    dS = (P + Q - 2.0 * np.eye(B)) / (2.0 * B * tau)
+    # (P + Q - 2 I) / (2 B tau), P + Q summed in their own dtype
+    dS = np.add(P, Q, out=np.empty((B, B)))
+    dS[diag, diag] -= 2.0
+    dS /= 2.0 * B * tau
     dU = dS @ V
     dV = dS.T @ U
     # through L2 normalization: dz = (g - (g.u)u)/||z||
-    d_pooled = (dU - (dU * U).sum(axis=1, keepdims=True) * U) / norm_v
-    d_zc = (dV - (dV * V).sum(axis=1, keepdims=True) * V) / norm_c
-
-    grads = {
-        "W_v": d_pooled.T @ means,
-        "b_v": d_pooled.sum(axis=0),
-        "W_c": d_zc.T @ cap_feats,
-        "b_c": d_zc.sum(axis=0),
-    }
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
-    return loss, grads
+    for dz, unit, norm in ((dU, U, norm_v), (dV, V, norm_c)):
+        dz -= (dz * unit).sum(axis=1, keepdims=True) * unit
+        dz /= norm
+    g = params._layout.views(grads)
+    np.matmul(dU.T, means, out=g["W_v"])
+    np.sum(dU, axis=0, out=g["b_v"])
+    np.matmul(dV.T, cap_feats, out=g["W_c"])
+    np.sum(dV, axis=0, out=g["b_c"])
+    if (name := _first_nonfinite(grads, g)) is not None:
+        raise NumericError(f"non-finite gradient in {name}")
+    return loss
 
 
 @dataclass
 class AdamState:
-    """Adam with bias correction; one moment slot per parameter tensor."""
+    """Adam with bias correction over the flat weight buffer.
+
+    The moments m and v are float64 buffers in the params' layout, made at the
+    first step. Each step updates them in place, in the textbook per-tensor
+    expression order, through two float64 scratch buffers.
+    """
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    _scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def step(self, params: EncoderParams, grads: dict[str, np.ndarray]) -> None:
+        """One step with `grads` keyed by tensor name."""
+        self._step(params, params._layout.pack(grads))
+
+    def _step(self, params: EncoderParams, g: np.ndarray) -> None:
+        """One step with `g`, the gradients as a flat buffer in the params' layout."""
         self.t += 1
-        for name, g in grads.items():
-            p = getattr(params, name)
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p, dtype=np.float64)
-                self.v[name] = np.zeros_like(p, dtype=np.float64)
-            m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1**self.t)
-            v_hat = v / (1 - self.beta2**self.t)
-            setattr(params, name, (p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype))
+        if self.m is None:
+            self.m, self.v = np.zeros(g.size), np.zeros(g.size)
+            self._scratch = np.empty(g.size), np.empty(g.size)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        ag = a if g.dtype == a.dtype else np.empty_like(g)  # (1 - beta) * g is taken in g's dtype
+        m *= self.beta1
+        m += np.multiply(g, 1 - self.beta1, out=ag)
+        v *= self.beta2
+        np.multiply(g, 1 - self.beta2, out=ag)
+        ag *= g
+        v += ag
+        np.divide(m, 1 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(v, 1 - self.beta2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        a *= self.lr
+        a /= b
+        _subtract_into(params._buf, a)
 
 
 @dataclass
 class SGDState:
     lr: float = 1e-2
+    _scratch: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def step(self, params: EncoderParams, grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            p = getattr(params, name)
-            setattr(params, name, (p - self.lr * g).astype(p.dtype))
+        """One step with `grads` keyed by tensor name."""
+        self._step(params, params._layout.pack(grads))
+
+    def _step(self, params: EncoderParams, g: np.ndarray) -> None:
+        """One step with `g`, the gradients as a flat buffer in the params' layout."""
+        if self._scratch is None or self._scratch.dtype != g.dtype or self._scratch.size != g.size:
+            self._scratch = np.empty_like(g)
+        _subtract_into(params._buf, np.multiply(g, self.lr, out=self._scratch))
+
+
+def _subtract_into(p: np.ndarray, d: np.ndarray) -> None:
+    """p = (p - d).astype(p.dtype), in place; `d` may be overwritten."""
+    if np.result_type(p, d) == p.dtype:
+        p -= d
+    else:
+        np.subtract(p, d, out=d)
+        p[...] = d
 
 
 def make_optimizer(cfg: TrainConfig) -> AdamState | SGDState:
@@ -399,13 +522,14 @@ def _train_epoch(
     """`train_epoch` on `_train_rows`' matrices: each batch indexes them."""
     order = rng.permutation(len(caps))
     losses = []
+    grads = np.zeros(params._layout.size)  # every batch's gradients, written in place
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
         if idx.size < 2:
             continue
-        loss, grads = _info_nce(params, pooled[idx], caps[idx], with_grads=True)
+        loss = _info_nce(params, pooled[idx], caps[idx], grads)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowed weight is caught below
-            optimizer.step(params, grads)
+            optimizer._step(params, grads)
         if (name := params._nonfinite()) is not None:
             raise NumericError(f"non-finite values in {name} after an optimizer step")
         losses.append(loss)
@@ -414,16 +538,17 @@ def _train_epoch(
 
 def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
     write_f32(path, CKPT_MAGIC, _CKPT_HEADER, (params.d_in, params.d_out, params.tau),
-              [getattr(params, n) for n in _TENSORS])
+              [params._buf[params._layout.payload]])
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
     (d_in, d_out, tau), flat = read_f32(path, CKPT_MAGIC, _CKPT_HEADER,
                                         lambda d_in, d_out, tau: 2 * d_out * (d_in + 1))
-    # fresh arrays, not views of the file buffer: BLAS may round a misaligned `row @ W.T` differently
-    w = d_out * d_in
-    W_v, b_v, W_c, b_c = (a.copy() for a in np.split(flat, [w, w + d_out, 2 * w + d_out]))
+    # a fresh buffer, not a view of the file's: BLAS may round a misaligned `row @ W.T` differently
+    layout = _layout(d_out, d_in)
+    buf = np.zeros(layout.size, dtype=flat.dtype)
+    buf[layout.payload] = flat
     try:
-        return EncoderParams(W_v.reshape(d_out, d_in), b_v, W_c.reshape(d_out, d_in), b_c, tau)
+        return EncoderParams._of(buf, d_out, d_in, tau)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

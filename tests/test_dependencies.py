@@ -1,6 +1,7 @@
 """The package's only runtime dependency outside the standard library is numpy,
 each file format has one parser (JSON Lines one decoder), and the initial-clip,
-unit-norm, Top-K, rounding-bound and config-override rules have one copy each."""
+unit-norm, Top-K, rounding-bound and config-override rules have one copy each, and
+the encoder weights one layout."""
 
 import ast
 import sys
@@ -127,3 +128,31 @@ def test_config_override_rule_has_one_copy():
             if isinstance(node, ast.Constant) and "unknown config key" in str(node.value)
         ]
     assert users == [("config.py", "_merge")]
+
+
+WEIGHTS = {"W_v", "b_v", "W_c", "b_c"}
+
+
+def test_weights_have_one_layout():
+    """Only `EncoderParams` and `_Layout` name `_TENSORS` (besides the line that
+    defines it), and nothing in the package replaces a weight: no `setattr` that
+    could name one, no assignment to `.W_v` and the like. So a second per-tensor
+    path, a loop over the tensors or a step that swaps a weight out of the flat
+    buffer, fails here."""
+    users, setters = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            where = (path.name, getattr(stmt, "name", "<module>"))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and node.id == "_TENSORS":
+                    users.append(where)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                      and not (isinstance(node.args[1], ast.Constant) and node.args[1].value not in WEIGHTS)):
+                    setters.append(where)
+                elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    setters += [where for t in targets for n in ast.walk(t)
+                                if isinstance(n, ast.Attribute) and n.attr in WEIGHTS and isinstance(n.ctx, ast.Store)]
+    assert sorted(set(users)) == [("encoder.py", "<module>"), ("encoder.py", "EncoderParams"), ("encoder.py", "_Layout")]
+    assert setters == []

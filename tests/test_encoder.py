@@ -1,13 +1,20 @@
+import copy
 import itertools
 import math
+import pickle
+import tracemalloc
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clipedit import encoder
 from clipedit.corpus import SynthConfig, clip_features, synth_corpus
 from clipedit.cotrain import build_initial_assignment
 from clipedit.encoder import (
+    _TENSORS,
     AdamState,
     EncoderParams,
     NumericError,
@@ -22,6 +29,9 @@ from clipedit.encoder import (
     save_checkpoint,
     similarity,
     train_epoch,
+    _info_nce,
+    _train_epoch,
+    _unit,
 )
 from clipedit.timeline import InitStrategy
 
@@ -72,6 +82,26 @@ class TestEncoderParams:
     def test_tau_positive(self):
         with pytest.raises(ValueError, match="tau"):
             EncoderParams(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2), tau=0.0)
+
+    @pytest.mark.parametrize("name", ["b_v", "W_c", "b_c"])
+    def test_mixed_dtypes_rejected_naming_the_tensor(self, name):
+        tensors = {"W_v": np.eye(2), "b_v": np.zeros(2), "W_c": np.eye(2), "b_c": np.zeros(2)}
+        tensors[name] = tensors[name].astype(np.float32)
+        with pytest.raises(ValueError, match=f"^{name} dtype float32 != W_v dtype float64$"):
+            EncoderParams(**tensors)
+
+    @pytest.mark.parametrize("d_out,d_in", [(5, 5), (3, 6), (32, 32)])
+    def test_tensors_are_aligned_views_of_one_buffer(self, d_out, d_in):
+        p = EncoderParams.init_random(d_in, d_out, rng=np.random.default_rng(0))
+        starts = [getattr(p, name).__array_interface__["data"][0] - p._buf.ctypes.data for name in _TENSORS]
+        assert starts == sorted(starts) and all(s % 64 == 0 for s in starts)
+        assert all(np.shares_memory(getattr(p, name), p._buf) for name in _TENSORS)
+        w = np.full((d_out, d_in), 0.5, dtype=np.float32)
+        p.W_c = w  # assigning copies into the buffer
+        assert np.shares_memory(p.W_c, p._buf) and np.array_equal(p.W_c, w)
+        for twin in (p.copy(), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin.equals(p) and not np.shares_memory(twin._buf, p._buf)
+            assert all(np.shares_memory(getattr(twin, name), twin._buf) for name in _TENSORS)
 
     def test_nonfinite_rejected(self):
         w = np.eye(2)
@@ -462,8 +492,49 @@ class TestCheckpoints:
                 load_checkpoint(path)
 
 
-class AllocatingAdam(AdamState):
+# ------------------------------------------------- the per-tensor reference step
+# The training step as written before the weights shared one buffer: four
+# separate arrays, `_info_nce` allocating each gradient, and optimizers that
+# replace each tensor with `setattr`. The flat step must repeat it bit for bit.
+
+
+def _per_tensor_info_nce(params, means, cap_feats):
+    B = len(means)
+    tau = params.tau
+    U, norm_v = _unit(means @ params.W_v.T + params.b_v)
+    V, norm_c = _unit(cap_feats @ params.W_c.T + params.b_c)
+    S = U @ V.T
+    A = S / tau
+    P = np.exp(A - A.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    Q = np.exp(A - A.max(axis=0, keepdims=True))
+    Q /= Q.sum(axis=0, keepdims=True)
+    diag = np.arange(B)
+    loss = float((-0.5 / B * (np.log(P[diag, diag]) + np.log(Q[diag, diag]))).sum())
+    dS = (P + Q - 2.0 * np.eye(B)) / (2.0 * B * tau)
+    dU = dS @ V
+    dV = dS.T @ U
+    d_pooled = (dU - (dU * U).sum(axis=1, keepdims=True) * U) / norm_v
+    d_zc = (dV - (dV * V).sum(axis=1, keepdims=True) * V) / norm_c
+    return loss, {
+        "W_v": d_pooled.T @ means,
+        "b_v": d_pooled.sum(axis=0),
+        "W_c": d_zc.T @ cap_feats,
+        "b_c": d_zc.sum(axis=0),
+    }
+
+
+@dataclass
+class AllocatingAdam:
     """Adam's step as first written: each moment update allocates a new array."""
+
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
 
     def step(self, params, grads):
         self.t += 1
@@ -477,6 +548,38 @@ class AllocatingAdam(AdamState):
             m_hat = self.m[name] / (1 - self.beta1**self.t)
             v_hat = self.v[name] / (1 - self.beta2**self.t)
             setattr(params, name, (p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype))
+
+
+@dataclass
+class PerTensorSGD:
+    lr: float = 1e-2
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            p = getattr(params, name)
+            setattr(params, name, (p - self.lr * g).astype(p.dtype))
+
+
+def _per_tensor_epoch(params, pooled, caps, cfg, rng, optimizer) -> float:
+    order = rng.permutation(len(caps))
+    losses = []
+    for lo in range(0, len(order), cfg.batch_size):
+        idx = order[lo:lo + cfg.batch_size]
+        if idx.size < 2:
+            continue
+        loss, grads = _per_tensor_info_nce(params, pooled[idx], caps[idx])
+        optimizer.step(params, grads)
+        losses.append(loss)
+    return float(np.mean(losses))
+
+
+def _train_rows_of(rng, n, d):
+    """n pooled clip rows and n caption rows, float32 as the loaders give them."""
+    return (rng.standard_normal((n, d)).astype(np.float32), rng.standard_normal((n, d)).astype(np.float32))
+
+
+def _moments(params, opt):
+    return params._layout.views(opt.m), params._layout.views(opt.v)
 
 
 class TestAdam:
@@ -497,9 +600,10 @@ class TestAdam:
             opt.step(p, grads)
             ref_opt.step(ref, grads)
             assert p.equals(ref), step
+        m, v = _moments(p, opt)
         for name in grads:
-            assert np.array_equal(opt.m[name], ref_opt.m[name])
-            assert np.array_equal(opt.v[name], ref_opt.v[name])
+            assert np.array_equal(m[name], ref_opt.m[name])
+            assert np.array_equal(v[name], ref_opt.v[name])
 
     def test_single_step_matches_hand_formula(self):
         p = EncoderParams(
@@ -512,3 +616,144 @@ class TestAdam:
         # bias-corrected first step moves by ~lr * sign(g)
         expect = -0.1 * 2.0 / (2.0 + 1e-8)
         assert p.W_v[0, 0] == pytest.approx(expect, rel=1e-9)
+
+    def test_deep_copy_steps_identically_and_independently(self):
+        rng = np.random.default_rng(11)
+        p = random_params(rng, 5)
+        opt = AdamState(lr=1e-2)
+
+        def grads():
+            return {name: rng.standard_normal(getattr(p, name).shape) for name in _TENSORS}
+
+        for _ in range(3):
+            opt.step(p, grads())
+        q, twin = p.copy(), copy.deepcopy(opt)
+        for _ in range(3):
+            g = grads()
+            opt.step(p, g)
+            twin.step(q, g)
+            assert p.equals(q)
+        assert twin.t == opt.t
+        assert np.array_equal(twin.m, opt.m) and np.array_equal(twin.v, opt.v)
+        frozen = p.copy(), twin.m.copy(), twin.v.copy()
+        opt.step(p, grads())
+        assert q.equals(frozen[0]) and not p.equals(q)
+        assert np.array_equal(twin.m, frozen[1]) and np.array_equal(twin.v, frozen[2])
+
+
+class TestFlatStep:
+    """`_train_epoch` over the flat buffer against the per-tensor reference step."""
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [5, 32])  # d = 5 pads every tensor start
+    def test_equals_per_tensor_reference(self, d, dtype, optimizer):
+        rng = np.random.default_rng(d)
+        pooled, caps = _train_rows_of(rng, 70, d)  # batches of 32, 32 and 6
+        cfg = TrainConfig(batch_size=32, learning_rate=1e-2, optimizer=optimizer)
+        p = random_params(rng, d, dtype=dtype)
+        ref = SimpleNamespace(**{name: getattr(p, name).copy() for name in _TENSORS}, tau=p.tau)
+        opt = make_optimizer(cfg)
+        ref_opt = AllocatingAdam(lr=cfg.learning_rate) if optimizer == "adam" else PerTensorSGD(cfg.learning_rate)
+        for epoch in range(3):
+            _, loss = _train_epoch(p, pooled, caps, cfg, np.random.default_rng(epoch), opt)
+            assert loss == _per_tensor_epoch(ref, pooled, caps, cfg, np.random.default_rng(epoch), ref_opt)
+            for name in _TENSORS:
+                assert getattr(p, name).dtype == getattr(ref, name).dtype == dtype
+                assert np.array_equal(getattr(p, name), getattr(ref, name)), (epoch, name)
+            if optimizer == "adam":
+                m, v = _moments(p, opt)
+                assert opt.t == ref_opt.t
+                assert all(np.array_equal(m[n], ref_opt.m[n]) and np.array_equal(v[n], ref_opt.v[n])
+                           for n in _TENSORS)
+        assert not np.any(np.delete(p._buf, np.arange(p._layout.size)[p._layout.payload]))  # zero padding
+
+    def test_info_nce_gradients_equal_per_tensor_reference(self):
+        rng = np.random.default_rng(3)
+        p = random_params(rng, 5, dtype=np.float32)
+        means, caps = _train_rows_of(rng, 7, 5)
+        loss, grads = info_nce(p, [row[None] for row in means], caps)
+        ref_loss, ref = _per_tensor_info_nce(p, means, caps)
+        assert loss == ref_loss
+        for name in _TENSORS:
+            assert grads[name].dtype == ref[name].dtype == np.float64
+            assert np.array_equal(grads[name], ref[name])
+        again = info_nce(p, [row[None] for row in means], caps)[1]
+        assert not np.shares_memory(again["W_v"], grads["W_v"])  # a fresh buffer on every call
+
+    def test_steady_state_optimizer_step_allocates_no_weight_sized_temporary(self):
+        d, B = 128, 32
+        rng = np.random.default_rng(0)
+        pooled, caps = _train_rows_of(rng, 2 * B, d)
+        cfg = TrainConfig(batch_size=B)
+        p = EncoderParams.init_random(d, rng=rng)
+        opt = make_optimizer(cfg)
+        _train_epoch(p, pooled, caps, cfg, np.random.default_rng(1), opt)  # the first step makes the moments
+        peaks = []
+
+        def traced(update):
+            def run(*args):
+                started = not tracemalloc.is_tracing()
+                if started:
+                    tracemalloc.start()
+                try:
+                    tracemalloc.reset_peak()
+                    base = tracemalloc.get_traced_memory()[0]
+                    update(*args)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    if started:
+                        tracemalloc.stop()
+            return run
+
+        for name in ("step", "_step"):  # whichever update `_train_epoch` calls
+            if hasattr(opt, name):
+                setattr(opt, name, traced(getattr(opt, name)))
+        _train_epoch(p, pooled, caps, cfg, np.random.default_rng(2), opt)
+        assert len(peaks) == 2
+        assert max(peaks) < d * d * np.dtype(np.float64).itemsize, peaks
+
+    @pytest.mark.parametrize("names", [("W_v",), ("b_v",), ("W_c",), ("b_c",), ("b_v", "b_c"), ("W_c", "b_v")])
+    def test_nonfinite_weight_after_a_step_names_the_first_tensor(self, names):
+        # a NaN first moment leaves its weight NaN after the next step, and nothing else
+        rng = np.random.default_rng(5)
+        pooled, caps = _train_rows_of(rng, 8, 5)
+        cfg = TrainConfig(batch_size=8)
+        p = random_params(rng, 5, dtype=np.float32)
+        opt = make_optimizer(cfg)
+        _train_epoch(p, pooled, caps, cfg, np.random.default_rng(0), opt)
+        for name in names:
+            _moments(p, opt)[0][name].flat[-1] = np.nan
+        first = min(names, key=_TENSORS.index)
+        with pytest.raises(NumericError, match=f"^non-finite values in {first} after an optimizer step$"):
+            _train_epoch(p, pooled, caps, cfg, np.random.default_rng(0), opt)
+
+    @pytest.mark.parametrize("names", [("W_v",), ("b_v",), ("W_c",), ("b_c",), ("b_v", "b_c"), ("W_c", "b_v")])
+    def test_nonfinite_gradient_names_the_first_tensor(self, monkeypatch, names):
+        rng = np.random.default_rng(6)
+        means, caps = _train_rows_of(rng, 4, 5)
+        p = random_params(rng, 5)
+        grads = np.zeros(p._layout.size)
+        poisoned = [p._layout.views(grads)[name] for name in names]
+
+        class PoisonedNumpy:
+            """numpy, except that a product or sum written into a poisoned gradient ends in NaN."""
+
+            def __getattr__(self, attr):
+                return getattr(np, attr)
+
+            def _poison(self, out):
+                if any(out is not None and np.shares_memory(out, t) for t in poisoned):
+                    out.flat[-1] = np.nan
+                return out
+
+            def matmul(self, *args, out=None, **kwargs):
+                return self._poison(np.matmul(*args, out=out, **kwargs))
+
+            def sum(self, *args, out=None, **kwargs):
+                return self._poison(np.sum(*args, out=out, **kwargs))
+
+        monkeypatch.setattr(encoder, "np", PoisonedNumpy())
+        first = min(names, key=_TENSORS.index)
+        with pytest.raises(NumericError, match=f"^non-finite gradient in {first}$"):
+            _info_nce(p, means, caps, grads)

@@ -390,6 +390,13 @@ class TestIntervalRules:
         assert got.shape == (len(spans), len(spans))
         assert bits(got.ravel()) == bits(iou_ref(a, b) for a in spans for b in spans)
 
+    @given(st.lists(interval_pairs(), min_size=1, max_size=8))
+    def test_ious_is_symmetric_bit_for_bit(self, pairs):
+        # `editor._decide` computes one triangle of the pair matrix and mirrors it
+        s, e = np.array([iv for pair in pairs for iv in pair]).T
+        got = ious(s[:, None], e[:, None], s, e)
+        assert bits(got.ravel()) == bits(got.T.ravel())
+
     @given(
         st.lists(st.tuples(st.integers(0, 5000), st.sampled_from([1, 3, 100]),
                            st.floats(min_value=0.05, max_value=60.0)), min_size=1, max_size=12),
