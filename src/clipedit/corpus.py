@@ -699,6 +699,14 @@ def _video(store: FeatureStore, video_id: str, start_s: float, end_s: float) -> 
     return rec
 
 
+def _captions(store: FeatureStore, caption_ids: list[str]) -> list[np.ndarray]:
+    """Each caption's feature row, in order; a caption without one is a ValueError naming it."""
+    try:
+        return [store.caption_features[cid] for cid in caption_ids]
+    except KeyError as exc:
+        raise ValueError(f"no caption features for {exc.args[0]!r}") from None
+
+
 def _mean_runs(X: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
     """`X[f:f + n].mean(axis=0)` for each run of `first`/`count` (n >= 1), bit for bit.
 

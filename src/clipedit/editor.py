@@ -9,13 +9,12 @@ applied only when IoU(initial, winner) clears the configured gate.
 `edit_all` does this for many captions and does only the work whose result
 can change. A clip of at most k segments keeps all of them without being
 scored. The other clips are scored one pooling block at a time by one
-product (`encoder._block_scores`), and a clip keeps that block's Top-K only
-when its k-th and (k+1)-th scores differ by more than the product's error
-bound; any other clip is scored again on its own (`_segment_scores`), so
-the lower-index tie-break stays exact. Candidates and consensus then run as
-arrays over blocks of captions (`_decide`). Given the results of an earlier
-edit of the same clips with the same config, a caption whose Top-K did not
-change keeps its result, which `_decide` would repeat exactly.
+`_segment_scores` call, in which every segment row is its own product, so
+a block's scores equal the one-caption scores bit for bit and its Top-K is
+the one-caption Top-K. Candidates and consensus then run as arrays over
+blocks of captions (`_decide`). Given the results of an earlier edit of the
+same clips with the same config, a caption whose Top-K did not change keeps
+its result, which `_decide` would repeat exactly.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, ClipRef, FeatureStore, _pool_blocks, _video, write_jsonl
+from .corpus import ClipAssignment, ClipRef, FeatureStore, _captions, _pool_blocks, _video, write_jsonl
 from .encoder import (  # noqa: F401
     EncoderParams,
-    _block_scores,
     _roundoff,
     _segment_scores,
     embed_captions,
@@ -73,7 +71,8 @@ def top_k_segments(sims: np.ndarray, k: int) -> list[int] | list[list[int]]:
 
     Ties go to the lower index (stable sort on descending value). A 2-D
     block is taken row by row and gives one list per row; a short row is
-    padded with -inf, which sorts after every score.
+    padded with NaN, which sorts after every score and, stably, after the
+    row's own NaN scores, so a padded row keeps its unpadded Top-K.
     """
     sims = np.asarray(sims)
     if sims.ndim not in (1, 2) or sims.shape[-1] == 0:
@@ -213,13 +212,8 @@ def _top_ks(
     """Each clip's `top_k_segments` list of its segment scores against caps[i].
 
     A clip of n <= k segments keeps range(n) and is not scored. The other
-    clips of a pooling block are scored by one `_block_scores` product and
-    take Top-K from the block, padded row by row. A clip keeps it when its
-    k-th and (k+1)-th block scores differ by more than 4 * its rows' largest
-    delta: each product lies within delta of the real scores, so the
-    one-caption scores order the same k segments strictly first. Any other
-    clip (a near or exact tie, NaN, a norm too small for the bound) is scored
-    again by `_segment_scores` on a fresh copy of its caption row.
+    clips of a pooling block are scored by one `_segment_scores` call and
+    take Top-K from the block, padded row by row with NaN.
     """
     tops = [list(range(n)) for n in n_seg.tolist()]
     for lo, hi, segs, first in _pool_blocks(recs, origin, clip_end, n_seg, cfg.seg_len_s):
@@ -229,26 +223,14 @@ def _top_ks(
             continue
         clip = np.repeat(np.arange(hi - lo), n)
         pos = np.arange(clip.size) - first[clip]  # each segment's index in its clip
-        rows = segs
-        if long.size < hi - lo:  # only the rows of clips with n > k, copied
+        if long.size < hi - lo:  # only the rows of clips with n > k
             sel = n[clip] > cfg.k
-            clip, pos, rows = clip[sel], pos[sel], segs[sel]
-        scores, delta = _block_scores(teacher, rows, caps[lo + clip])
-        # row j of S and D holds clip long[j], padded with -inf scores and zero bounds
-        S = np.full((long.size, int(n[long].max())), -np.inf, dtype=scores.dtype)
-        D = np.zeros(S.shape)
-        row = np.searchsorted(long, clip)
-        S[row, pos], D[row, pos] = scores, delta
-        top = top_k_segments(S, cfg.k)
-        kept = np.zeros(S.shape, dtype=bool)
-        kept[np.arange(long.size)[:, None], np.array(top)] = True
-        kth = np.where(kept, S, np.inf).min(axis=1).astype(np.float64)
-        gap = kth - np.where(kept, -np.inf, S).max(axis=1)  # minus the (k+1)-th score, in float64
-        sure = gap > 4 * D.max(axis=1)  # False for NaN
-        for j, i in enumerate(long.tolist()):
-            f = int(first[i])
-            tops[lo + i] = top[j] if sure[j] else top_k_segments(
-                _segment_scores(teacher, segs[f:f + int(n[i])], caps[lo + i].copy()), cfg.k)
+            clip, pos, segs = clip[sel], pos[sel], segs[sel]
+        scores = _segment_scores(teacher, segs, caps[lo + clip])
+        S = np.full((long.size, int(n[long].max())), np.nan, dtype=scores.dtype)  # row j: clip long[j]
+        S[np.searchsorted(long, clip), pos] = scores
+        for i, top in zip(long.tolist(), top_k_segments(S, cfg.k)):
+            tops[lo + i] = top
     return tops
 
 
@@ -277,10 +259,10 @@ def _edit_all(
     caption whose initial clip, segment count and Top-K equal its result there
     keeps that result, which `_decide` would repeat, and only the others are decided."""
     items = sorted(clips.items())
+    ids = [caption_id for caption_id, _ in items]
+    cap_feats = _captions(store, ids)
     recs = []
     for caption_id, ref in items:
-        if caption_id not in store.caption_features:
-            raise ValueError(f"no caption features for {caption_id!r}")
         try:
             recs.append(_video(store, ref.video_id, ref.interval.start_s, ref.interval.end_s))
         except ValueError as exc:
@@ -290,9 +272,8 @@ def _edit_all(
     n_seg = segment_counts(clip_end - origin, cfg.seg_len_s)
     k = min(cfg.k, int(n_seg.max(initial=1)))  # a Python min: k may pass int64
     block = max(1, _IOU_BLOCK_BYTES // (8 * max(1, k * (k - 1) // 2) ** 2))
-    ids = [caption_id for caption_id, _ in items]
     # each row equals `embed_caption`'s bit for bit
-    caps = embed_captions(teacher, [store.caption_features[cid] for cid in ids], ids)
+    caps = embed_captions(teacher, cap_feats, ids)
     tops = _top_ks(teacher, recs, origin, clip_end, n_seg, caps, cfg)
     # a result depends on its caption only through these four and `cfg`
     prev = {(r.caption_id, r.initial, r.n_segments, r.topk_indices): r for r in last}

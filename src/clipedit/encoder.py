@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, clip_means, read_f32, write_f32
+from .corpus import ClipAssignment, FeatureStore, _captions, clip_means, read_f32, write_f32
 
 CKPT_MAGIC = b"CFP1"
 _CKPT_HEADER = "<IId"  # d_in, d_out, tau
@@ -262,55 +262,29 @@ def embed_caption(params: EncoderParams, cap_feat: np.ndarray) -> np.ndarray:
 def segment_similarities(
     teacher: EncoderParams, seg_feats: np.ndarray, cap_feat: np.ndarray
 ) -> np.ndarray:
-    """Cosine of each individually embedded segment against the caption."""
-    return _segment_scores(teacher, seg_feats, embed_caption(teacher, cap_feat))
+    """Cosine of each individually embedded segment against the caption:
+    `_segment_scores` with the caption's one embedding on every row."""
+    cap = embed_caption(teacher, cap_feat)
+    return _segment_scores(teacher, seg_feats, np.broadcast_to(cap, (len(seg_feats), cap.size)))
 
 
-def _segment_scores(teacher: EncoderParams, seg_feats: np.ndarray, cap_emb: np.ndarray) -> np.ndarray:
-    return _unit(seg_feats @ teacher.W_v.T + teacher.b_v)[0] @ cap_emb
+def _segment_scores(teacher: EncoderParams, segs: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Segment row i, embedded by `_embed_rows` with the _EPS clamp, dotted with
+    the unit caption row caps[i]. Each row is its own product and its own dot (the
+    one `select_control_set` takes), so a row's score does not depend on the rows
+    beside it: a block of clips scores each clip as one-caption calls would."""
+    Z = _embed_rows(segs, teacher.W_v, teacher.b_v)
+    return np.matmul(Z[:, None, :], caps[:, :, None])[:, 0, 0]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite bound fails every check
-def _block_scores(
-    teacher: EncoderParams, segs: np.ndarray, caps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(scores, delta): segment row i scored against caption row caps[i], all
-    rows in one product, and a float64 bound delta[i] such that this score and
-    `_segment_scores`' for the same row both lie within delta[i] of the real
-    score s = <z/||z||, c>, z the real x @ W_v.T + b_v.
-
-    Let u and gamma_n come from `_roundoff` for the precision of the product
-    and of the caption rows. Each computed entry of z is a sum of d_in + 1
-    terms, so either product errs by dz with ||dz|| <= gamma_{d_in+1} * ||a||,
-    a = |x| @ |W_v|.T + |b_v|. Computed norms lie within a factor 1.01 of the
-    real ones, so L = ||z computed here|| / 1.01 - ||dz|| <= ||z||. As
-    ||x/||x|| - y/||y|||| <= 2||x - y|| / ||y||, either computed unit row lies
-    within 2||dz|| / L + gamma_{d_out+2} of z/||z||; the caption row's norm is
-    at most 1.01, and the dot with it adds 1.01**2 * gamma_{d_out}. The extra
-    u covers underflow and the float64 difference of two scores. A row whose
-    norm could meet `_unit`'s clamp in either product (L - ||dz|| below
-    1.01 * _EPS) gets delta = inf.
-    """
-    W, b = teacher.W_v, teacher.b_v
-    Z, nz = _unit(segs @ W.T + b)
-    scores = np.einsum("ij,ij->i", Z, caps)
-    na = _unit(np.abs(segs) @ np.abs(W).T + np.abs(b))[1][:, 0].astype(np.float64)
-    dtypes = np.result_type(segs, W, b), caps.dtype
-    u, g_in = _roundoff(W.shape[1] + 1, *dtypes)
-    dz = 1.01 * g_in * na
-    L = nz[:, 0].astype(np.float64) / 1.01 - dz
-    delta = (1.01 * (2 * dz / L + _roundoff(W.shape[0] + 2, *dtypes)[1])
-             + 1.01**2 * _roundoff(W.shape[0], *dtypes)[1] + u)
-    return scores, np.where(L - dz >= 1.01 * _EPS, delta, np.inf)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # `_unit` rejects a row that overflowed
+@np.errstate(over="ignore", invalid="ignore")  # `_unit` rejects an overflowed row, or embeds it as NaN or 0
 def _embed_rows(
     rows: Sequence[np.ndarray] | np.ndarray, W: np.ndarray, b: np.ndarray,
-    what: str, ids: Sequence[str] | None,
+    what: str | None = None, ids: Sequence[str] | None = None,
 ) -> np.ndarray:
     # Each row is its own (1, d_in) @ W.T, the product `row @ W.T` makes, so a
-    # row's embedding does not depend on the rows beside it.
+    # row's embedding does not depend on the rows beside it. `what` and `ids`
+    # go to `_unit`: with no `what`, a norm is clamped at _EPS and not checked.
     if not len(rows):
         return np.empty((0, W.shape[0]), dtype=np.result_type(W, b))
     return _unit(np.matmul(np.asarray(rows)[:, None, :], W.T)[:, 0] + b, what, ids)[0]
@@ -373,7 +347,8 @@ def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, g
         U, norm_v = _unit(means @ params.W_v.T + params.b_v)  # (B, d_out)
         V, norm_c = _unit(cap_feats @ params.W_c.T + params.b_c)
     for name, norm in (("W_v", norm_v), ("W_c", norm_c)):
-        if (bad := np.flatnonzero(~np.isfinite(norm))).size:
+        if not np.isfinite(norm).all():
+            bad = np.flatnonzero(~np.isfinite(norm))
             raise NumericError(f"non-finite norm of the {name} projection at batch index {int(bad[0])}")
     S = U @ V.T
 
@@ -386,8 +361,8 @@ def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, g
     diag = np.arange(B)
     with np.errstate(divide="ignore"):  # log(0) is caught as NumericError below
         terms = -0.5 / B * (np.log(P[diag, diag]) + np.log(Q[diag, diag]))
-    bad = np.flatnonzero(~np.isfinite(terms))
-    if bad.size:
+    if not np.isfinite(terms).all():
+        bad = np.flatnonzero(~np.isfinite(terms))
         raise NumericError(f"non-finite loss contribution at batch index {int(bad[0])}")
     loss = float(terms.sum())
     if grads is None:
@@ -512,7 +487,7 @@ def _train_rows(store: FeatureStore, clips: ClipAssignment) -> tuple[np.ndarray,
     """The pooled clip rows and caption rows of `clips` by caption id; keep them while `clips` lives."""
     ids = sorted(clips)
     pooled = clip_means(store, [clips[cid] for cid in ids])
-    return pooled, np.stack([store.caption_features[cid] for cid in ids])
+    return pooled, np.stack(_captions(store, ids))
 
 
 def _train_epoch(

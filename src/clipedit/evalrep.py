@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ClipAssignment, FeatureStore, atomic_write, clip_means, write_csv
+from .corpus import ClipAssignment, FeatureStore, _captions, atomic_write, clip_means, write_csv
 from .encoder import EncoderParams, _roundoff, embed_captions, embed_clips
 from .timeline import Interval, ious
 
@@ -150,7 +150,7 @@ def _evaluate_pooled(params: EncoderParams, store: FeatureStore, queries: list[s
     """`evaluate_retrieval` with row i of `pooled` the clip of the sorted gallery_ids[i]."""
     gal_pos = {cid: i for i, cid in enumerate(gallery_ids)}
     U = embed_clips(params, pooled, gallery_ids)
-    V = embed_captions(params, [store.caption_features[q] for q in queries], queries)
+    V = embed_captions(params, _captions(store, queries), queries)
     ranks = _query_ranks(U, V, np.array([gal_pos[q] for q in queries]))
     return RetrievalMetrics(
         r_at={k: recall_at_k(ranks, k) for k in R_AT_KS},

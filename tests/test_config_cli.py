@@ -651,10 +651,10 @@ class TestCliExitCodes:
     def test_numeric_error_in_editor_exits_3(self, tmp_path, monkeypatch):
         calls = []
 
-        def boom(*args):  # the editor's block scoring, reached by every clip of more than k segments
+        def boom(*args):  # the editor's segment scoring, reached by every clip of more than k segments
             calls.append(args)
             raise NumericError("non-finite segment similarity")
-        monkeypatch.setattr("clipedit.editor._block_scores", boom)
+        monkeypatch.setattr("clipedit.editor._segment_scores", boom)
         cfg_path, out = tiny_cli_args(tmp_path)
         assert main(["cotrain", "--config", cfg_path, "--out", out]) == 3
         assert len(calls) == 1

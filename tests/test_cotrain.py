@@ -236,6 +236,24 @@ class TestControlSet:
         assert monitor_metric(EncoderParams.identity(4), store, ctl) == 1.0
 
 
+# each entry point that reads caption rows, called on (params, store, clips)
+CAPTION_READERS = {
+    "train_epoch": lambda p, store, clips: train_epoch(p, store, clips, TrainConfig(), np.random.default_rng(0)),
+    "warmup": lambda p, store, clips: warmup(store, [], MID, TrainConfig(epochs=1), clips),
+    "select_control_set": lambda p, store, clips: select_control_set(p, store, clips, -1.0),
+    "evaluate_retrieval": lambda p, store, clips: evaluate_retrieval(p, store, sorted(clips), clips),
+    "edit_all": lambda p, store, clips: edit_all(p, store, clips, EditConfig(k=2)),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(CAPTION_READERS))
+def test_caption_without_features_is_named(reader):
+    store, clips = TestControlSet().one_hot_store()
+    del store.caption_features["c2"]
+    with pytest.raises(ValueError, match=r"^no caption features for 'c2'$"):
+        CAPTION_READERS[reader](EncoderParams.identity(4), store, clips)
+
+
 class TestCoTrainLoop:
     def run(self, mode="update", max_epochs=6, patience=4, lr=2e-3, seed=5,
             noise=0.4, cap_noise=0.1, n_train=10):

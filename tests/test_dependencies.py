@@ -1,7 +1,7 @@
 """The package's only runtime dependency outside the standard library is numpy,
 each file format has one parser (JSON Lines one decoder), and the initial-clip,
-unit-norm, Top-K, rounding-bound and config-override rules have one copy each, and
-the encoder weights one layout."""
+unit-norm, Top-K, rounding-bound, projection and config-override rules have one
+copy each, and the encoder weights one layout."""
 
 import ast
 import sys
@@ -115,6 +115,35 @@ def test_rounding_bound_has_one_copy():
     roundoff and gamma_n (for a margin or an error bound) fails here."""
     users = [(path.name, name) for path in SOURCES for name in top_level_uses(path, "finfo")]
     assert users == [("encoder.py", "_roundoff")]
+
+
+PRODUCTS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def product_operands(node: ast.AST) -> list[ast.AST]:
+    """The operands of `node` if it is a matrix product (`@`, or a call of a numpy
+    product function or method), else []."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return [node.left, node.right]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in PRODUCTS:
+        return [*node.args, node.func.value]  # `np.matmul(a, b)` or `a.dot(b)`
+    return []
+
+
+def test_projection_has_one_copy():
+    """Only `encoder._embed_rows` (every embedding and segment score) and
+    `encoder._info_nce` (training) multiply rows by a projection, `W_v` or `W_c`,
+    or by `_embed_rows`' `W`. So a second scoring path, one product over a block
+    that rounds differently from the one-row products, fails here."""
+    users = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        users += [
+            (path.name, getattr(stmt, "name", "<module>")) for stmt in tree.body for node in ast.walk(stmt)
+            if any(isinstance(n, ast.Attribute) and n.attr in ("W_v", "W_c") or isinstance(n, ast.Name) and n.id == "W"
+                   for operand in product_operands(node) for n in ast.walk(operand))
+        ]
+    assert sorted(set(users)) == [("encoder.py", "_embed_rows"), ("encoder.py", "_info_nce")]
 
 
 def test_config_override_rule_has_one_copy():

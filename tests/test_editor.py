@@ -20,7 +20,7 @@ from clipedit.editor import (
     top_k_segments,
     write_edits,
 )
-from clipedit.encoder import EncoderParams, embed_caption
+from clipedit.encoder import EncoderParams, embed_captions
 from clipedit.timeline import Interval, iou, segment_grid
 
 from oracles import consensus_ref, edit_ref, topk_ref
@@ -49,15 +49,16 @@ class TestTopK:
     def test_matches_reference(self, sims, k):
         assert top_k_segments(np.array(sims), k) == topk_ref(sims, k)
 
-    @given(st.lists(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=12),
+    @given(st.lists(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0, np.nan]), min_size=1, max_size=12),
                     min_size=1, max_size=6),
            st.integers(min_value=1, max_value=15))
     def test_padded_block_rows_match_one_row_calls(self, rows, k):
-        block = np.full((len(rows), max(map(len, rows))), -np.inf)
+        block = np.full((len(rows), max(map(len, rows))), np.nan)
         for i, row in enumerate(rows):
             block[i, :len(row)] = row
         want = [top_k_segments(np.array(row), k) for row in rows]
-        # padding sorts last, so it enters a row's Top-K only when k exceeds the row
+        # NaN padding sorts last, after the row's own NaN scores, so it enters a
+        # row's Top-K only when k exceeds the row
         assert top_k_segments(block, k) == [
             w if k <= len(row) else w + list(range(len(row), min(k, block.shape[1])))
             for w, row in zip(want, rows)
@@ -349,7 +350,9 @@ class TestEditAll:
         store, clips = self.build(n_videos)  # two captions a video
         with patch.object(encoder, "_embed_rows", wraps=encoder._embed_rows) as embed:
             edit_all(EncoderParams.identity(6), store, clips, EditConfig(k=5))
-        assert embed.call_count == 1 and len(embed.call_args.args[0]) == 2 * n_videos
+        # the other calls embed segment rows, with no `what`
+        captions = [call.args[0] for call in embed.call_args_list if call.args[3:4] == ("caption",)]
+        assert len(captions) == 1 and len(captions[0]) == 2 * n_videos
 
     def test_zero_gate_applies_everywhere(self):
         store, clips = self.build()
@@ -516,6 +519,19 @@ def scoring_cases(draw):
     return d, k, counts, rows, dtype, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def block_score_cases(draw):
+    """A `scoring_cases` case, a shift in elements of the block's rows in their buffer,
+    and whether W_v is scaled by the dtype's largest value, so that some projections
+    overflow and score NaN (an infinite entry) or 0 (an infinite norm)."""
+    return (*draw(scoring_cases()), draw(st.integers(0, 15)), draw(st.booleans()))
+
+
+def overflowing(teacher):
+    """Scale `teacher`'s W_v by its dtype's largest value, in place; |W_v| < 1, so W_v stays finite."""
+    teacher.W_v[:] *= np.finfo(teacher.W_v.dtype).max
+
+
 class TestBlockScores:
     @given(scoring_cases())
     @settings(max_examples=200, deadline=None)
@@ -527,55 +543,49 @@ class TestBlockScores:
         want = one_caption_top_k(teacher, store, clips, cfg)
         assert {r.caption_id: list(r.topk_indices) for r in results} == want
 
-    def scored_again(self, case):
-        """The captions `_segment_scores` scores again, and whether Top-K still equals the reference."""
-        teacher, store, clips, cfg = scoring_case(*case)
-        with patch.object(editor, "_segment_scores", wraps=editor._segment_scores) as again:
-            _, results = edit_all(teacher, store, clips, cfg)
-        equal = {r.caption_id: list(r.topk_indices) for r in results} == one_caption_top_k(
-            teacher, store, clips, cfg)
-        return again.call_count, equal
-
     def test_clips_of_at_most_k_segments_are_not_scored(self):
-        with patch.object(editor, "_block_scores", wraps=editor._block_scores) as block:
-            self.scored_again((8, 3, [1, 2, 3], [[0], [0, 1], [0, 1, 2]], np.float32, 0))
-        assert block.call_count == 0
+        teacher, store, clips, cfg = scoring_case(8, 3, [1, 2, 3], [[0], [0, 1], [0, 1, 2]], np.float32, 0)
+        with patch.object(editor, "_segment_scores", wraps=editor._segment_scores) as scored:
+            _, results = edit_all(teacher, store, clips, cfg)
+        assert scored.call_count == 0
+        assert [list(r.topk_indices) for r in results] == [[0], [0, 1], [0, 1, 2]]
 
-    def test_clear_gap_keeps_the_block_top_k(self):
-        assert self.scored_again((8, 2, [4, 4], [[0, 1, 2, 3], [3, 2, 1, 0]], np.float32, 0)) == (0, True)
-
-    @pytest.mark.parametrize("rows", [[0, 0, 0], [1, 2, 2], [4, 4, 4]], ids=["equal", "tie-at-k", "zero"])
-    def test_exact_tie_or_zero_row_is_scored_again(self, rows):
-        # clip c0 has a clear gap; c1's k-th and (k+1)-th rows are equal, or all its rows are zero
-        assert self.scored_again((8, 2, [3, 3], [[0, 1, 2], rows], np.float32, 3)) == (1, True)
+    @given(block_score_cases())
+    @settings(max_examples=200, deadline=None)
+    # tied rows, zero rows (the norm clamp) and a clip at k beside longer ones
+    @example((8, 2, [1, 2, 3, 9], [[0], [1, 1], [2, 2, 3], [0, 1, 2, 3, 4, 4, 1, 0, 2]], np.float32, 0, 0, False))
+    @example((70, 3, [4, 4, 5], [[0, 1, 2, 3], [4, 4, 4, 4], [3, 3, 1, 1, 0]], np.float64, 1, 1, False))
+    def test_block_scores_equal_one_caption_scores(self, case):
+        """`_segment_scores` over a pooling block's rows equals `segment_similarities`
+        of each clip on its own, bit for bit, on misaligned views of the rows too."""
+        *scoring, shift, huge = case
+        teacher, store, clips, cfg = scoring_case(*scoring)
+        if huge:
+            overflowing(teacher)
+        ids = sorted(clips)
+        rows = [store.videos[clips[cid].video_id].features for cid in ids]
+        d = rows[0].shape[1]
+        # the block's rows `shift` elements into a fresh buffer, so no row need start aligned
+        block = np.zeros(shift + sum(map(len, rows)) * d, dtype=np.float32)[shift:].reshape(-1, d)
+        block[...] = np.concatenate(rows)
+        caps = embed_captions(teacher, [store.caption_features[cid] for cid in ids])
+        got = encoder._segment_scores(teacher, block, np.repeat(caps, [len(r) for r in rows], axis=0))
+        first = np.cumsum([0] + [len(r) for r in rows])
+        for i, cid in enumerate(ids):
+            one = segment_similarities(teacher, block[first[i]:first[i + 1]], store.caption_features[cid])
+            assert one.dtype == got.dtype and one.tobytes() == got[first[i]:first[i + 1]].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_near_tie_inside_the_margin_is_scored_again(self, dtype):
-        # two rows 16 ulps apart in one entry: their scores differ, by less than the bound
-        teacher, store, clips, cfg = scoring_case(8, 1, [2], [[0, 0]], dtype, 4)
-        rows = store.videos["v0"].features.astype(dtype)
-        rows[1, 0] += 16 * np.spacing(rows[1, 0])
-        store.videos["v0"] = VideoRecord("v0", 2.0, rows)
-        with patch.object(editor, "_segment_scores", wraps=editor._segment_scores) as again:
-            _, results = edit_all(teacher, store, clips, cfg)
-        scores, delta = encoder._block_scores(teacher, rows, np.tile(embed_caption(
-            teacher, store.caption_features["c0"]), (2, 1)))
-        assert 0 < abs(float(scores[0]) - float(scores[1])) <= 4 * delta.max()
-        assert again.call_count == 1
-        assert [list(r.topk_indices) for r in results] == list(one_caption_top_k(teacher, store, clips, cfg).values())
-
-    def test_bound_covers_both_products(self):
-        # the delta of each row covers the block score and the one-caption score of that row
-        rng = np.random.default_rng(9)
-        teacher = EncoderParams.init_random(40, rng=rng)
-        segs = (rng.standard_normal((50, 40)) * 10.0 ** rng.integers(-3, 3, (50, 1))).astype(np.float32)
-        cap = embed_caption(teacher, rng.standard_normal(40).astype(np.float32))
-        scores, delta = encoder._block_scores(teacher, segs, np.tile(cap, (50, 1)))
-        z = segs.astype(np.float64) @ teacher.W_v.T.astype(np.float64)
-        real = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ cap.astype(np.float64)
-        one = encoder._segment_scores(teacher, segs, cap.copy())
-        assert np.all(np.abs(scores - real) <= delta) and np.all(np.abs(one - real) <= delta)
-        assert np.all(delta < 1e-4)
+    def test_nan_scores_keep_the_one_caption_top_k(self, dtype):
+        # NaN scores beside exact ties at 0; a NaN-padded block row keeps the one-caption Top-K
+        teacher, store, clips, cfg = scoring_case(6, 2, [3, 5, 9], [[0, 1, 2], [3, 0, 1, 2, 3],
+                                                                    [0, 4, 1, 2, 3, 0, 1, 2, 3]], dtype, 2)
+        overflowing(teacher)
+        sims = [segment_similarities(teacher, store.videos[ref.video_id].features, store.caption_features[cid])
+                for cid, ref in clips.items()]
+        assert all(np.isnan(s).any() and (s == 0).any() for s in sims)
+        _, results = edit_all(teacher, store, clips, cfg)
+        assert {r.caption_id: list(r.topk_indices) for r in results} == one_caption_top_k(teacher, store, clips, cfg)
 
 
 class TestWriteEdits:

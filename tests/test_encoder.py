@@ -295,14 +295,14 @@ class TestInfoNCE:
         with pytest.raises(ValueError, match="mismatch"):
             info_nce(p, [np.ones((1, 2))], np.ones((2, 2)))
 
-    def test_nonfinite_loss_names_batch_index(self):
-        # a vanishing temperature underflows the diagonal softmax to zero
-        p = EncoderParams.identity(2, tau=1e-9)
-        clip0 = np.array([[1.0, 0.0]])
-        clip1 = np.array([[0.0, 1.0]])
-        caps = np.array([[0.0, 1.0], [1.0, 0.0]])  # positives anti-aligned
-        with pytest.raises(NumericError, match="batch index 0"):
-            info_nce(p, [clip0, clip1], caps)
+    @pytest.mark.parametrize("i", range(3))
+    def test_nonfinite_loss_names_batch_index(self, i):
+        # caption i is the next clip's: a vanishing temperature underflows the
+        # diagonal softmax Q[i, i] to zero, and term i is the only non-finite one
+        caps = np.eye(3)
+        caps[i] = np.roll(caps[i], 1)
+        with pytest.raises(NumericError, match=rf"^non-finite loss contribution at batch index {i}$"):
+            info_nce(EncoderParams.identity(3, tau=1e-9), [row[None] for row in np.eye(3)], caps)
 
     @pytest.mark.parametrize("name", ["W_v", "W_c"])
     def test_overflowing_norm_names_the_projection_and_batch_index(self, name):
