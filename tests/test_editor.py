@@ -484,10 +484,13 @@ class TestBlockEditor:
 
 def scoring_case(d, k, counts, rows, dtype, seed):
     """A store with one video per clip, clip i spanning counts[i] one-second
-    segments of one row each, rows[i] giving each row's palette index (the
-    palette's last row is zero), and a random teacher with `dtype` weights."""
+    segments of one row each, rows[i] giving each row's palette index (row 4
+    of the palette is zero, row 5 is row 0 with one entry 16 ulps larger), and
+    a random teacher with `dtype` weights."""
     rng = np.random.default_rng(seed)
-    palette = np.vstack([rng.standard_normal((4, d)), np.zeros((1, d))]).astype(np.float32)
+    palette = np.vstack([rng.standard_normal((4, d)), np.zeros((2, d))]).astype(np.float32)
+    palette[5] = palette[0]
+    palette[5, 0] += 16 * np.spacing(palette[5, 0])
     store, clips = FeatureStore(), {}
     for i, (n, pick) in enumerate(zip(counts, rows)):
         store.videos[f"v{i}"] = VideoRecord(f"v{i}", float(n), palette[pick])
@@ -513,8 +516,9 @@ def scoring_cases(draw):
     d = draw(st.integers(1, 70))
     k = draw(st.integers(1, 6))
     counts = draw(st.lists(st.sampled_from([1, k, k + 1, k + 2, k + 7]), min_size=1, max_size=6))
-    # palette rows repeat within a clip (exact ties) and row 4 is zero (the norm clamp)
-    rows = [draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)) for n in counts]
+    # palette rows repeat within a clip (exact ties), row 4 is zero (the norm clamp)
+    # and rows 0 and 5 are 16 ulps apart (near ties)
+    rows = [draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)) for n in counts]
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     return d, k, counts, rows, dtype, draw(st.integers(0, 2**32 - 1))
 
@@ -537,6 +541,7 @@ class TestBlockScores:
     @settings(max_examples=200, deadline=None)
     @example((8, 2, [1, 2, 3, 9], [[0], [1, 1], [2, 2, 3], [0, 1, 2, 3, 4, 4, 1, 0, 2]], np.float32, 0))
     @example((70, 3, [4, 4], [[0, 1, 2, 3], [4, 4, 4, 4]], np.float64, 1))
+    @example((5, 1, [1, 1, 2], [[0], [0], [5, 0]], np.float32, 0))  # a near tie at an unaligned row
     def test_block_top_k_equals_one_caption_top_k(self, case):
         teacher, store, clips, cfg = scoring_case(*case)
         _, results = edit_all(teacher, store, clips, cfg)
@@ -563,17 +568,32 @@ class TestBlockScores:
         if huge:
             overflowing(teacher)
         ids = sorted(clips)
-        rows = [store.videos[clips[cid].video_id].features for cid in ids]
+        # each clip's one-caption rows, in their own buffers, as `edit_clip` pools them
+        rows = [segment_features(store, clips[cid].video_id, segment_grid(clips[cid].interval, cfg.seg_len_s))
+                for cid in ids]
         d = rows[0].shape[1]
-        # the block's rows `shift` elements into a fresh buffer, so no row need start aligned
+        # a copy of the rows `shift` elements into one fresh buffer, so no row need start aligned
         block = np.zeros(shift + sum(map(len, rows)) * d, dtype=np.float32)[shift:].reshape(-1, d)
         block[...] = np.concatenate(rows)
         caps = embed_captions(teacher, [store.caption_features[cid] for cid in ids])
         got = encoder._segment_scores(teacher, block, np.repeat(caps, [len(r) for r in rows], axis=0))
         first = np.cumsum([0] + [len(r) for r in rows])
         for i, cid in enumerate(ids):
-            one = segment_similarities(teacher, block[first[i]:first[i + 1]], store.caption_features[cid])
+            one = segment_similarities(teacher, rows[i], store.caption_features[cid])
             assert one.dtype == got.dtype and one.tobytes() == got[first[i]:first[i + 1]].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_near_tie_keeps_the_one_caption_top_k(self, dtype):
+        # clip v1's two rows are 16 ulps apart in one entry and sit after v0's three
+        # rows in the pooling block: their scores differ in the last bits only
+        teacher, store, clips, cfg = scoring_case(8, 1, [3, 2], [[1, 2, 3], [0, 0]], dtype, 5)
+        rows = store.videos["v1"].features.astype(dtype)
+        rows[1, 0] += 16 * np.spacing(rows[1, 0])
+        store.videos["v1"] = VideoRecord("v1", 2.0, rows)
+        sims = segment_similarities(teacher, rows, store.caption_features["c1"])
+        assert 0 < abs(float(sims[0]) - float(sims[1])) < 1e3 * np.finfo(dtype).eps
+        _, results = edit_all(teacher, store, clips, cfg)
+        assert {r.caption_id: list(r.topk_indices) for r in results} == one_caption_top_k(teacher, store, clips, cfg)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_nan_scores_keep_the_one_caption_top_k(self, dtype):

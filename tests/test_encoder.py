@@ -295,14 +295,18 @@ class TestInfoNCE:
         with pytest.raises(ValueError, match="mismatch"):
             info_nce(p, [np.ones((1, 2))], np.ones((2, 2)))
 
-    @pytest.mark.parametrize("i", range(3))
-    def test_nonfinite_loss_names_batch_index(self, i):
-        # caption i is the next clip's: a vanishing temperature underflows the
-        # diagonal softmax Q[i, i] to zero, and term i is the only non-finite one
-        caps = np.eye(3)
-        caps[i] = np.roll(caps[i], 1)
+    @pytest.mark.parametrize("caps, i", [
+        # caption i is the next clip's: term i is the only non-finite one
+        *((np.eye(3)[[(j + 1) % 3 if j == i else j for j in range(3)]], i) for i in range(3)),
+        # both positives anti-aligned: terms 0 and 1 are non-finite, and the first is named
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 0),
+    ], ids=["only-0", "only-1", "only-2", "first-of-two"])
+    def test_nonfinite_loss_names_batch_index(self, caps, i):
+        # clip j is unit vector j; a vanishing temperature underflows the diagonal
+        # softmax of a caption that misses its clip to zero
+        B = len(caps)
         with pytest.raises(NumericError, match=rf"^non-finite loss contribution at batch index {i}$"):
-            info_nce(EncoderParams.identity(3, tau=1e-9), [row[None] for row in np.eye(3)], caps)
+            info_nce(EncoderParams.identity(B, tau=1e-9), [row[None] for row in np.eye(B)], caps)
 
     @pytest.mark.parametrize("name", ["W_v", "W_c"])
     def test_overflowing_norm_names_the_projection_and_batch_index(self, name):
