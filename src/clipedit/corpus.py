@@ -15,8 +15,8 @@ File formats (text UTF-8, binary little-endian), each read and written by one pa
       W_v (d_out*d_in), b_v (d_out), W_c (d_out*d_in), b_c (d_out).
 
 Loading in bulk. `load_annotations` and `captions.idx` first take the bulk
-path: `_jsonl_columns` decodes a chunk of lines at a time with the decoder
-`read_jsonl` uses and keeps only each key's column, and every check runs as
+path: `_jsonl_columns` decodes a chunk of lines at a time with the scanner
+`json.loads` runs and keeps only each key's column, and every check runs as
 one set or array pass over a column. On any doubt (a blank line, a line that
 is not one UTF-8 JSON object, a check that fails) the loader runs its
 per-line loop over `read_jsonl`, which owns every error message; the bulk
@@ -221,15 +221,7 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
                 if not raw.strip():
                     continue
                 try:
-                    line = raw.decode("utf-8")
-                    try:
-                        obj, end = _raw_decode(line)
-                    except (ValueError, RecursionError):
-                        end = -1
-                    # anything but a bare object and newline (whitespace, a BOM, extra data,
-                    # an error) is left to `json.loads`, so it decides exactly as it would
-                    if end < 0 or line[end:] not in ("", "\n"):
-                        obj = json.loads(line)
+                    obj = json.loads(raw.decode("utf-8"))
                 except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                     raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
                 if not isinstance(obj, dict):
@@ -417,18 +409,12 @@ def _annotations_by_line(path: Path, store: FeatureStore | None) -> list[Caption
     for lineno, obj in read_jsonl(path, ("caption_id", "video_id", "timestamp", "split")):
         if ("gt_start" in obj) != ("gt_end" in obj):
             raise ValueError(f"{path}:{lineno}: gt_start/gt_end must come together")
-        # one expression per kind, not a loop per field: this runs once per line
-        if not (isinstance(obj["caption_id"], str) and isinstance(obj["video_id"], str)
-                and isinstance(obj["split"], str) and isinstance(obj.get("text", ""), str)):
-            key = next(k for k in ("caption_id", "video_id", "split", "text")
-                       if not isinstance(obj.get(k, ""), str))
-            raise ValueError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
-        # exact types: a bool is an int to isinstance
-        if type(obj["timestamp"]) not in (int, float) or "gt_start" in obj and (
-                type(obj["gt_start"]) not in (int, float) or type(obj["gt_end"]) not in (int, float)):
-            key = next(k for k in ("timestamp", "gt_start", "gt_end")
-                       if k in obj and type(obj[k]) not in (int, float))
-            raise ValueError(f"{path}:{lineno}: {key} must be a number, got {obj[key]!r}")
+        for key in ("caption_id", "video_id", "split", "text"):
+            if not isinstance(obj.get(key, ""), str):
+                raise ValueError(f"{path}:{lineno}: {key} must be a string, got {obj[key]!r}")
+        for key in ("timestamp", "gt_start", "gt_end"):
+            if key in obj and type(obj[key]) not in (int, float):  # exact: a bool is an int to isinstance
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, got {obj[key]!r}")
         try:
             gt = Interval(float(obj["gt_start"]), float(obj["gt_end"])) if "gt_start" in obj else None
             ann = CaptionAnnotation(

@@ -11,23 +11,20 @@ with analytic gradients (no autodiff dependency); a projection whose norm
 is not finite, or a weight that an optimizer step leaves non-finite,
 raises `NumericError`.
 
-The four weight tensors are views of one contiguous buffer, in `_TENSORS`
-order (`_Layout`). Each starts a multiple of `_ALIGN` elements from the buffer
-start (64 bytes of float32), with zero padding between tensors where a size
-is not a multiple, so no view is less aligned than a fresh array. A training
-step runs over that buffer: `_info_nce` writes its gradients into one float64
-buffer of the same layout, and the optimizers update the weights and their
-moments in place, bit for bit as the textbook per-tensor step would.
+The four weight tensors are views of one contiguous buffer that holds them
+back to back in `_TENSORS` order (`_views`). A training step runs over that
+buffer: `_info_nce` writes its gradients into one float64 buffer of the same
+layout, and the optimizers update the weights and their moments in place, bit
+for bit as the textbook per-tensor step would.
 
 Checkpoints `.cfp` are float32 containers (`corpus.read_f32`); the
-`corpus` module docstring describes their layout. Their payload is the four
-tensors back to back, without the padding, so the bytes do not depend on
-the buffer layout.
+`corpus` module docstring describes their layout. Their payload is the
+weight buffer itself: saving writes it, and loading keeps the array
+`read_f32` returns as the buffer.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,44 +42,28 @@ _EPS = 1e-12
 # The weight tensors, in field, buffer and checkpoint order.
 _TENSORS = ("W_v", "b_v", "W_c", "b_c")
 
-# Each tensor starts a multiple of _ALIGN elements into the flat buffer: 64 bytes
-# of float32, 128 of float64, so no view is less aligned than a fresh array.
-_ALIGN = 16
-
 
 class NumericError(RuntimeError):
     """Raised when a loss, gradient or trained weight stops being finite."""
 
 
-class _Layout:
-    """Where the weight tensors of a (d_out, d_in) encoder sit in a flat buffer:
-    in `_TENSORS` order, each starting a multiple of `_ALIGN` elements from the
-    buffer start, with zeros between them. `payload` indexes the checkpoint's
-    values, the tensors back to back, in the buffer: a slice when unpadded."""
-
-    def __init__(self, d_out: int, d_in: int) -> None:
-        self.shapes = {"W_v": (d_out, d_in), "b_v": (d_out,), "W_c": (d_out, d_in), "b_c": (d_out,)}
-        self.slices, start = {}, 0
-        for name in _TENSORS:
-            self.slices[name] = slice(start, start + math.prod(self.shapes[name]))
-            start = -(-self.slices[name].stop // _ALIGN) * _ALIGN
-        self.size = self.slices["b_c"].stop
-        self.payload = (slice(0, self.size) if self.size == 2 * d_out * (d_in + 1)
-                        else np.concatenate([np.arange(s.start, s.stop) for s in self.slices.values()]))
-
-    def views(self, buf: np.ndarray) -> dict[str, np.ndarray]:
-        """Each tensor by name, as a view of `buf`."""
-        return {name: buf[s].reshape(self.shapes[name]) for name, s in self.slices.items()}
-
-    def pack(self, tensors: dict[str, np.ndarray]) -> np.ndarray:
-        """A fresh flat buffer holding `tensors`, one per name, in their common dtype."""
-        buf = np.zeros(self.size, dtype=np.result_type(*tensors.values()))
-        for name, view in self.views(buf).items():
-            view[...] = tensors[name]
-        return buf
+def _views(buf: np.ndarray, d_out: int, d_in: int) -> dict[str, np.ndarray]:
+    """Each weight tensor of a (d_out, d_in) encoder by name, in `_TENSORS` order,
+    as a view of `buf`, the flat buffer that holds them back to back."""
+    n = d_out * d_in
+    return {"W_v": buf[:n].reshape(d_out, d_in), "b_v": buf[n:n + d_out],
+            "W_c": buf[n + d_out:2 * n + d_out].reshape(d_out, d_in), "b_c": buf[2 * n + d_out:2 * (n + d_out)]}
 
 
-_layout = functools.lru_cache(maxsize=None)(_Layout)
+def _pack(tensors: dict[str, np.ndarray], d_out: int, d_in: int) -> np.ndarray:
+    """A fresh flat buffer holding `tensors`, one per name, in their common dtype, each
+    written into its view; a tensor whose shape is not its view's is a ValueError."""
+    buf = np.empty(2 * d_out * (d_in + 1), dtype=np.result_type(*tensors.values()))
+    for name, view in _views(buf, d_out, d_in).items():
+        if np.shape(tensors[name]) != view.shape:  # not broadcast: a (1,) bias would fill every entry
+            raise ValueError(f"{name} shape {np.shape(tensors[name])} != {view.shape}")
+        view[...] = tensors[name]
+    return buf
 
 
 def _first_nonfinite(buf: np.ndarray, views: dict[str, np.ndarray]) -> str | None:
@@ -107,10 +88,11 @@ class EncoderParams:
     """W_v (d_out, d_in), b_v (d_out,), W_c (d_out, d_in), b_c (d_out,) and tau.
 
     The four tensors are views of one contiguous buffer, laid out by
-    `_Layout`: `copy`, `equals`, the finiteness check, the optimizers and the
+    `_views`: `copy`, `equals`, the finiteness check, the optimizers and the
     checkpoint code each work on the buffer at once. Assigning a tensor copies
     into its view. All four share one dtype: a tensor whose dtype is not
-    W_v's is a ValueError that names it.
+    W_v's, or whose shape does not follow from W_v's, is a ValueError that
+    names it.
     """
 
     W_v, b_v, W_c, b_c = map(_tensor, _TENSORS)
@@ -118,18 +100,15 @@ class EncoderParams:
     def __init__(self, W_v, b_v, W_c, b_c, tau: float = 0.07) -> None:
         tensors = dict(zip(_TENSORS, map(np.asarray, (W_v, b_v, W_c, b_c))))
         d_out, d_in = tensors["W_v"].shape
-        if tensors["W_c"].shape != (d_out, d_in):
-            raise ValueError(f"W_c shape {tensors['W_c'].shape} != W_v shape {tensors['W_v'].shape}")
-        if tensors["b_v"].shape != (d_out,) or tensors["b_c"].shape != (d_out,):
-            raise ValueError("bias shapes must be (d_out,)")
         dtype = tensors["W_v"].dtype
         if (name := next((n for n, t in tensors.items() if t.dtype != dtype), None)) is not None:
             raise ValueError(f"{name} dtype {tensors[name].dtype} != W_v dtype {dtype}")
-        self._init(_layout(d_out, d_in).pack(tensors), d_out, d_in, tau)
+        self._init(_pack(tensors, d_out, d_in), d_out, d_in, tau)
 
     def _init(self, buf: np.ndarray, d_out: int, d_in: int, tau: float) -> None:
-        self._layout = _layout(d_out, d_in)
-        self._buf, self._views, self.tau = buf, self._layout.views(buf), tau
+        if d_out < 1 or d_in < 1:
+            raise ValueError(f"d_out and d_in must be >= 1, got d_out={d_out}, d_in={d_in}")
+        self._buf, self._views, self.tau = buf, _views(buf, d_out, d_in), tau
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if not math.isfinite(self.tau):
@@ -139,7 +118,7 @@ class EncoderParams:
 
     @classmethod
     def _of(cls, buf: np.ndarray, d_out: int, d_in: int, tau: float) -> "EncoderParams":
-        """Params whose weights are `buf`, a flat buffer in the (d_out, d_in) layout (not copied)."""
+        """Params whose weights are `buf`, a flat buffer in the `_views` layout (not copied)."""
         params = cls.__new__(cls)
         params._init(buf, d_out, d_in, tau)
         return params
@@ -332,8 +311,8 @@ def info_nce(
     means = np.stack([np.asarray(sf).mean(axis=0) for sf in clip_batch])  # (B, d_in)
     if not with_grads:
         return _info_nce(params, means, cap_feats, None), None
-    grads = np.zeros(params._layout.size)
-    return _info_nce(params, means, cap_feats, grads), params._layout.views(grads)
+    grads = np.zeros(params._buf.size)
+    return _info_nce(params, means, cap_feats, grads), _views(grads, params.d_out, params.d_in)
 
 
 def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, grads: np.ndarray | None) -> float:
@@ -378,7 +357,7 @@ def _info_nce(params: EncoderParams, means: np.ndarray, cap_feats: np.ndarray, g
     for dz, unit, norm in ((dU, U, norm_v), (dV, V, norm_c)):
         dz -= (dz * unit).sum(axis=1, keepdims=True) * unit
         dz /= norm
-    g = params._layout.views(grads)
+    g = _views(grads, params.d_out, params.d_in)
     np.matmul(dU.T, means, out=g["W_v"])
     np.sum(dU, axis=0, out=g["b_v"])
     np.matmul(dV.T, cap_feats, out=g["W_c"])
@@ -408,7 +387,7 @@ class AdamState:
 
     def step(self, params: EncoderParams, grads: dict[str, np.ndarray]) -> None:
         """One step with `grads` keyed by tensor name."""
-        self._step(params, params._layout.pack(grads))
+        self._step(params, _pack(grads, params.d_out, params.d_in))
 
     def _step(self, params: EncoderParams, g: np.ndarray) -> None:
         """One step with `g`, the gradients as a flat buffer in the params' layout."""
@@ -440,7 +419,7 @@ class SGDState:
 
     def step(self, params: EncoderParams, grads: dict[str, np.ndarray]) -> None:
         """One step with `grads` keyed by tensor name."""
-        self._step(params, params._layout.pack(grads))
+        self._step(params, _pack(grads, params.d_out, params.d_in))
 
     def _step(self, params: EncoderParams, g: np.ndarray) -> None:
         """One step with `g`, the gradients as a flat buffer in the params' layout."""
@@ -497,7 +476,7 @@ def _train_epoch(
     """`train_epoch` on `_train_rows`' matrices: each batch indexes them."""
     order = rng.permutation(len(caps))
     losses = []
-    grads = np.zeros(params._layout.size)  # every batch's gradients, written in place
+    grads = np.zeros(params._buf.size)  # every batch's gradients, written in place
     for lo in range(0, len(order), cfg.batch_size):
         idx = order[lo:lo + cfg.batch_size]
         if idx.size < 2:
@@ -512,17 +491,12 @@ def _train_epoch(
 
 
 def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
-    write_f32(path, CKPT_MAGIC, _CKPT_HEADER, (params.d_in, params.d_out, params.tau),
-              [params._buf[params._layout.payload]])
+    write_f32(path, CKPT_MAGIC, _CKPT_HEADER, (params.d_in, params.d_out, params.tau), [params._buf])
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
-    (d_in, d_out, tau), flat = read_f32(path, CKPT_MAGIC, _CKPT_HEADER,
-                                        lambda d_in, d_out, tau: 2 * d_out * (d_in + 1))
-    # a fresh buffer, not a view of the file's: BLAS may round a misaligned `row @ W.T` differently
-    layout = _layout(d_out, d_in)
-    buf = np.zeros(layout.size, dtype=flat.dtype)
-    buf[layout.payload] = flat
+    (d_in, d_out, tau), buf = read_f32(path, CKPT_MAGIC, _CKPT_HEADER,
+                                       lambda d_in, d_out, tau: 2 * d_out * (d_in + 1))
     try:
         return EncoderParams._of(buf, d_out, d_in, tau)
     except ValueError as exc:

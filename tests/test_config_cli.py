@@ -21,8 +21,8 @@ from clipedit.config import (
     load_config_dict,
     parse_set,
 )
-from clipedit.corpus import read_feat_matrix, write_feat_matrix
-from clipedit.encoder import EncoderParams, NumericError, load_checkpoint, save_checkpoint
+from clipedit.corpus import read_feat_matrix, write_f32, write_feat_matrix
+from clipedit.encoder import CKPT_MAGIC, EncoderParams, NumericError, load_checkpoint, save_checkpoint
 
 
 def synth_dict(**over):
@@ -637,6 +637,17 @@ class TestCliExitCodes:
         ckpt.write_bytes(bytes(raw))
         assert main(["eval", "--config", cfg_path, "--out", out, "--checkpoint", str(ckpt)]) == 2
         assert f"{ckpt}: {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d_in,d_out", [(8, 0), (0, 3)])
+    def test_zero_dimension_checkpoint_exits_2_naming_file(self, tmp_path, capsys, d_in, d_out):
+        # fails before zero dimensions were rejected: a d_out = 0 file loaded and the error named a clip
+        cfg_path, out = tiny_cli_args(tmp_path)  # a d=8 corpus
+        ckpt = tmp_path / "empty.cfp"
+        write_f32(ckpt, CKPT_MAGIC, "<IId", (d_in, d_out, 0.07), [np.zeros(2 * d_out * (d_in + 1))])
+        capsys.readouterr()
+        assert main(["eval", "--config", cfg_path, "--out", out, "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: {ckpt}: d_out and d_in must be >= 1, got d_out={d_out}, d_in={d_in}\n"
 
     def test_checkpoint_dimension_mismatch_exits_2_naming_both(self, tmp_path, capsys):
         cfg_path, out = tiny_cli_args(tmp_path)  # a d=8 corpus

@@ -67,10 +67,11 @@ def test_float32_containers_have_one_parser():
 
 
 def test_json_lines_have_one_decoder():
-    """Only `corpus`'s two line readers, `read_jsonl` (per line) and `_jsonl_columns`
-    (in bulk), decode JSON Lines, both with `_raw_decode` (bound once at module level),
-    and only `read_jsonl` calls `json.loads` in `corpus`; `cli` and `config` call it on
-    whole JSON files. So the bulk and per-line paths cannot drift into two decoders."""
+    """Only `corpus`'s two line readers decode JSON Lines: `read_jsonl` (per line) with
+    `json.loads`, and `_jsonl_columns` (in bulk) with `_raw_decode`, the scanner `json.loads`
+    runs, bound once at module level. Only `read_jsonl` calls `json.loads` in `corpus`;
+    `cli` and `config` call it on whole JSON files. So the bulk and per-line paths cannot
+    drift into two decoders."""
     users = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -163,7 +164,7 @@ WEIGHTS = {"W_v", "b_v", "W_c", "b_c"}
 
 
 def test_weights_have_one_layout():
-    """Only `EncoderParams` and `_Layout` name `_TENSORS` (besides the line that
+    """Only `EncoderParams` names `_TENSORS` (besides the line that
     defines it), and nothing in the package replaces a weight: no `setattr` that
     could name one, no assignment to `.W_v` and the like. So a second per-tensor
     path, a loop over the tensors or a step that swaps a weight out of the flat
@@ -183,5 +184,5 @@ def test_weights_have_one_layout():
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     setters += [where for t in targets for n in ast.walk(t)
                                 if isinstance(n, ast.Attribute) and n.attr in WEIGHTS and isinstance(n.ctx, ast.Store)]
-    assert sorted(set(users)) == [("encoder.py", "<module>"), ("encoder.py", "EncoderParams"), ("encoder.py", "_Layout")]
+    assert sorted(set(users)) == [("encoder.py", "<module>"), ("encoder.py", "EncoderParams")]
     assert setters == []

@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import pickle
+import re
 import tracemalloc
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clipedit import encoder
-from clipedit.corpus import SynthConfig, clip_features, synth_corpus
+from clipedit.corpus import SynthConfig, clip_features, read_f32, synth_corpus, write_f32
 from clipedit.cotrain import build_initial_assignment
 from clipedit.encoder import (
     _TENSORS,
@@ -30,8 +31,10 @@ from clipedit.encoder import (
     similarity,
     train_epoch,
     _info_nce,
+    _segment_scores,
     _train_epoch,
     _unit,
+    _views,
 )
 from clipedit.timeline import InitStrategy
 
@@ -76,8 +79,10 @@ class TestEncoderParams:
         assert p.W_v[0, 0] != q.W_v[0, 0]
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^W_c shape \(4, 4\) != \(3, 3\)$"):
             EncoderParams(np.eye(3), np.zeros(3), np.eye(4), np.zeros(4))
+        with pytest.raises(ValueError, match=r"^b_c shape \(1,\) != \(3,\)$"):
+            EncoderParams(np.eye(3), np.zeros(3), np.eye(3), np.zeros(1))
 
     def test_tau_positive(self):
         with pytest.raises(ValueError, match="tau"):
@@ -91,10 +96,11 @@ class TestEncoderParams:
             EncoderParams(**tensors)
 
     @pytest.mark.parametrize("d_out,d_in", [(5, 5), (3, 6), (32, 32)])
-    def test_tensors_are_aligned_views_of_one_buffer(self, d_out, d_in):
+    def test_tensors_are_back_to_back_views_of_one_buffer(self, d_out, d_in):
         p = EncoderParams.init_random(d_in, d_out, rng=np.random.default_rng(0))
         starts = [getattr(p, name).__array_interface__["data"][0] - p._buf.ctypes.data for name in _TENSORS]
-        assert starts == sorted(starts) and all(s % 64 == 0 for s in starts)
+        sizes = [getattr(p, name).nbytes for name in _TENSORS]
+        assert starts == [sum(sizes[:i]) for i in range(4)] and p._buf.nbytes == sum(sizes)
         assert all(np.shares_memory(getattr(p, name), p._buf) for name in _TENSORS)
         w = np.full((d_out, d_in), 0.5, dtype=np.float32)
         p.W_c = w  # assigning copies into the buffer
@@ -102,6 +108,13 @@ class TestEncoderParams:
         for twin in (p.copy(), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert twin.equals(p) and not np.shares_memory(twin._buf, p._buf)
             assert all(np.shares_memory(getattr(twin, name), twin._buf) for name in _TENSORS)
+
+    @pytest.mark.parametrize("d_out,d_in", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_dimension_rejected(self, d_out, d_in):
+        # fails before zero dimensions were rejected: such params embedded every row as zero-norm
+        W, b = np.zeros((d_out, d_in)), np.zeros(d_out)
+        with pytest.raises(ValueError, match=f"^d_out and d_in must be >= 1, got d_out={d_out}, d_in={d_in}$"):
+            EncoderParams(W, b, W, b)
 
     def test_nonfinite_rejected(self):
         w = np.eye(2)
@@ -455,6 +468,33 @@ class TestTrainConfig:
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
 
 
+class TestWeightPlacement:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d_in=st.integers(1, 70), d_out=st.integers(1, 70), n=st.integers(1, 12),
+        dtype=st.sampled_from([np.float32, np.float64]), offset=st.integers(0, 15),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_do_not_depend_on_where_the_weights_sit(self, d_in, d_out, n, dtype, offset, seed):
+        # the weight buffer is whatever array holds it (a `.cfp` payload as read), so no
+        # product may change with its alignment; a BLAS that rounds by alignment fails here
+        rng = np.random.default_rng(seed)
+        p = EncoderParams.init_random(d_in, d_out, rng=rng, dtype=dtype)
+        p.b_v[:] = 0.3 * rng.standard_normal(d_out)
+        p.b_c[:] = 0.3 * rng.standard_normal(d_out)
+        host = np.empty(offset + p._buf.size, dtype=dtype)
+        host[offset:] = p._buf
+        moved = EncoderParams._of(host[offset:], d_out, d_in, p.tau)
+        X, C = (rng.standard_normal((n, d_in)).astype(np.float32) for _ in range(2))
+        caps = embed_captions(p, C)
+        assert np.array_equal(embed_clips(moved, X), embed_clips(p, X))
+        assert np.array_equal(embed_captions(moved, C), caps)
+        assert np.array_equal(_segment_scores(moved, X, caps), _segment_scores(p, X, caps))
+        grads, moved_grads = np.zeros(p._buf.size), np.zeros(p._buf.size)
+        assert _info_nce(moved, X, C, moved_grads) == _info_nce(p, X, C, grads)
+        assert np.array_equal(moved_grads, grads)
+
+
 class TestCheckpoints:
     def test_roundtrip_exact(self, tmp_path):
         p = random_params(np.random.default_rng(0), 5, dtype=np.float32)
@@ -478,6 +518,27 @@ class TestCheckpoints:
         save_checkpoint(path, p)
         q = load_checkpoint(path)
         assert q.W_v.shape == (3, 6) and q.equals(p)
+
+    def test_zero_dimension_names_the_file(self, tmp_path):
+        # fails before zero dimensions were rejected: a d_out = 0 file loaded, its payload empty
+        path = tmp_path / "m.cfp"
+        write_f32(path, encoder.CKPT_MAGIC, encoder._CKPT_HEADER, (4, 0, 0.07), [])
+        message = f"{path}: d_out and d_in must be >= 1, got d_out=0, d_in=4"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    def test_loaded_weights_are_the_read_payload(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.cfp"
+        save_checkpoint(path, random_params(np.random.default_rng(4), 5, dtype=np.float32))
+        payloads = []
+
+        def spy(*args):
+            fields, payload = read_f32(*args)
+            payloads.append(payload)
+            return fields, payload
+        monkeypatch.setattr(encoder, "read_f32", spy)
+        q = load_checkpoint(path)
+        assert len(payloads) == 1 and q._buf is payloads[0]  # no second copy
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.cfp"
@@ -583,7 +644,7 @@ def _train_rows_of(rng, n, d):
 
 
 def _moments(params, opt):
-    return params._layout.views(opt.m), params._layout.views(opt.v)
+    return _views(opt.m, params.d_out, params.d_in), _views(opt.v, params.d_out, params.d_in)
 
 
 class TestAdam:
@@ -650,7 +711,7 @@ class TestFlatStep:
 
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("d", [5, 32])  # d = 5 pads every tensor start
+    @pytest.mark.parametrize("d", [5, 32])  # d = 5 starts b_v, W_c and b_c off any 64-byte boundary
     def test_equals_per_tensor_reference(self, d, dtype, optimizer):
         rng = np.random.default_rng(d)
         pooled, caps = _train_rows_of(rng, 70, d)  # batches of 32, 32 and 6
@@ -670,7 +731,21 @@ class TestFlatStep:
                 assert opt.t == ref_opt.t
                 assert all(np.array_equal(m[n], ref_opt.m[n]) and np.array_equal(v[n], ref_opt.v[n])
                            for n in _TENSORS)
-        assert not np.any(np.delete(p._buf, np.arange(p._layout.size)[p._layout.payload]))  # zero padding
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("other,message", [
+        ({"W_v": (2, 2), "b_v": (2,), "W_c": (2, 2), "b_c": (2,)}, r"W_v shape \(2, 2\) != \(3, 4\)"),
+        ({"W_v": (3, 4), "b_v": (1,), "W_c": (3, 4), "b_c": (3,)}, r"b_v shape \(1,\) != \(3,\)"),
+    ], ids=["another-encoder", "broadcastable-bias"])
+    def test_gradients_of_another_shape_raise_before_any_update(self, optimizer, other, message):
+        # [broadcastable-bias] fails before the shapes were compared: the (1,) gradient stepped every bias
+        p = EncoderParams.init_random(4, 3, rng=np.random.default_rng(0))
+        before = p.copy()
+        opt = make_optimizer(TrainConfig(optimizer=optimizer))
+        grads = {name: np.ones(shape) for name, shape in other.items()}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            opt.step(p, grads)
+        assert p.equals(before) and getattr(opt, "m", None) is None and getattr(opt, "t", 0) == 0
 
     def test_info_nce_gradients_equal_per_tensor_reference(self):
         rng = np.random.default_rng(3)
@@ -737,8 +812,8 @@ class TestFlatStep:
         rng = np.random.default_rng(6)
         means, caps = _train_rows_of(rng, 4, 5)
         p = random_params(rng, 5)
-        grads = np.zeros(p._layout.size)
-        poisoned = [p._layout.views(grads)[name] for name in names]
+        grads = np.zeros(p._buf.size)
+        poisoned = [_views(grads, p.d_out, p.d_in)[name] for name in names]
 
         class PoisonedNumpy:
             """numpy, except that a product or sum written into a poisoned gradient ends in NaN."""
