@@ -99,9 +99,9 @@ def _test_gallery(store, annotations, strategy):
     return gallery, mode
 
 
-def _eval_test_split(params, store, annotations, strategy, out: Path, check: bool) -> RetrievalMetrics:
-    """Evaluate on the test split, write `metrics.json` and, with `check`, re-read the outputs."""
-    gallery, mode = _test_gallery(store, annotations, strategy)
+def _eval_test_split(params, store, test, out: Path, check: bool) -> RetrievalMetrics:
+    """Evaluate on the `_test_gallery` `test`, write `metrics.json` and, with `check`, re-read outputs."""
+    gallery, mode = test
     metrics = evaluate_retrieval(params, store, sorted(gallery), gallery)
     write_metrics(out / "metrics.json", metrics, mode)
     if check:
@@ -153,21 +153,23 @@ def cmd_synth(run: RunConfig, args) -> int:
     return 0
 
 
-def _train_assignment(run: RunConfig, store: FeatureStore, annotations: list[CaptionAnnotation]):
-    """The (possibly jittered) initial train assignment."""
+def _setup(run: RunConfig, corpus: tuple[FeatureStore, list[CaptionAnnotation]] | None = None):
+    """`warmup`'s and `cotrain`'s setup; `--out` is checked before any work and made after the warm-up.
+    Returns (store, annotations, test gallery, jittered initial train assignment, warm-up params, out)."""
+    _check_out_dir(run)
+    store, annotations = corpus if corpus is not None else _load_corpus(run)
     assignment = build_initial_assignment(store, annotations, run.init_strategy)
     rng = np.random.default_rng(run.seed)
-    return apply_jitter(assignment, run.jitter_fraction, run.max_jitter_s, store, rng)
+    assignment = apply_jitter(assignment, run.jitter_fraction, run.max_jitter_s, store, rng)
+    test = _test_gallery(store, annotations, run.init_strategy)
+    params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
+    return store, annotations, test, assignment, params, _out_dir(run)
 
 
 def cmd_warmup(run: RunConfig, args) -> int:
-    _check_out_dir(run)
-    store, annotations = _load_corpus(run)
-    assignment = _train_assignment(run, store, annotations)
-    params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
-    out = _out_dir(run)
+    store, _, test, _, params, out = _setup(run)
     save_checkpoint(out / "model.warmup.cfp", params)
-    metrics = _eval_test_split(params, store, annotations, run.init_strategy, out, args.check)
+    metrics = _eval_test_split(params, store, test, out, args.check)
     print(f"warmup done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     return 0
 
@@ -178,11 +180,7 @@ def run_cotrain_pipeline(
     corpus: tuple[FeatureStore, list[CaptionAnnotation]] | None = None,
 ) -> RetrievalMetrics:
     """`clipedit cotrain`; `corpus` passes an already loaded (store, annotations)."""
-    _check_out_dir(run)
-    store, annotations = corpus if corpus is not None else _load_corpus(run)
-    assignment = _train_assignment(run, store, annotations)
-    warm_params, _ = warmup(store, annotations, run.init_strategy, run.cotrain.train, assignment)
-    out = _out_dir(run)
+    store, annotations, test, assignment, warm_params, out = _setup(run, corpus)
     log_path = out / "cotrain_log.jsonl"
     try:
         log_fh = log_path.open("w", encoding="utf-8")
@@ -211,7 +209,7 @@ def run_cotrain_pipeline(
         ]
         if gt_pairs:
             write_iou_hist(out / "iou_hist_gt.csv", iou_histogram(gt_pairs))
-    return _eval_test_split(result.best_student, store, annotations, run.init_strategy, out, check)
+    return _eval_test_split(result.best_student, store, test, out, check)
 
 
 def cmd_cotrain(run: RunConfig, args) -> int:
@@ -228,8 +226,8 @@ def cmd_eval(run: RunConfig, args) -> int:
         raise ValueError(
             f"{args.checkpoint}: checkpoint d_in={params.d_in} does not match the corpus's d={store.dim}"
         )
-    out = _out_dir(run)
-    metrics = _eval_test_split(params, store, annotations, run.init_strategy, out, args.check)
+    test = _test_gallery(store, annotations, run.init_strategy)
+    metrics = _eval_test_split(params, store, test, _out_dir(run), args.check)
     print(f"eval done: test R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
     return 0
 
@@ -240,20 +238,23 @@ def _parse_values(raw: str) -> list:
 
 def cmd_ablate(run: RunConfig, args) -> int:
     path = ABLATE_AXES[args.axis].split(".")
-    values = _parse_values(args.values)
-    out = _out_dir(run)
+    cfg = load_config_dict(args.config, args.set)
+    sub_runs = {}  # sub-directory -> (value, its run config); every value is checked before any run
+    for value in _parse_values(args.values):
+        sub_dir = Path(run.out_dir) / f"{args.axis}_{str(value).replace(':', '-').replace('/', '-')}"
+        if sub_dir in sub_runs:
+            raise ConfigError(f"--values {sub_runs[sub_dir][0]!r} and {value!r} both name {sub_dir}")
+        sub_run = build_run_config(_merge_at(cfg, path, value))
+        sub_runs[sub_dir] = value, replace(sub_run, out_dir=str(sub_dir))
+    _check_out_dir(run)
     # no ablation axis changes the corpus: load it once
     corpus = _load_corpus(run)
-    cfg = load_config_dict(args.config, args.set)
     rows = []
-    for value in values:
-        sub_run = build_run_config(_merge_at(cfg, path, value))
-        sub_name = f"{args.axis}_{str(value).replace(':', '-').replace('/', '-')}"
-        sub_run = replace(sub_run, out_dir=str(out / sub_name))
+    for value, sub_run in sub_runs.values():
         metrics = run_cotrain_pipeline(sub_run, args.check, corpus)
         rows.append([value, metrics.r_at[1], metrics.r_at[5], metrics.r_at[10], metrics.med_r])
         print(f"{args.axis}={value}: R@1 {metrics.r_at[1]:.3f}, MedR {metrics.med_r:.1f}")
-    write_csv(out / "sweep.csv", [["value", "r1", "r5", "r10", "medr"], *rows])
+    write_csv(_out_dir(run) / "sweep.csv", [["value", "r1", "r5", "r10", "medr"], *rows])
     return 0
 
 

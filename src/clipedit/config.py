@@ -20,8 +20,10 @@ class ConfigError(ValueError):
 
 
 def _defaults(cls) -> dict[str, Any]:
-    """Each field of the dataclass `cls` that has a plain default, mapped to it."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    """Each field of the dataclass `cls` that has a plain default, mapped to it as
+    JSON reads it (a tuple as a list), so the dataclass is the one place it is declared."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.default is not MISSING}
 
 
 DEFAULTS: dict[str, Any] = {
@@ -38,15 +40,7 @@ DEFAULTS: dict[str, Any] = {
     "cotrain": _defaults(CoTrainConfig),
 }
 
-SYNTH_DEFAULTS: dict[str, Any] = {
-    "n_train_videos": 20,
-    "n_test_videos": 5,
-    "captions_per_video": 4,
-    "video_len_s": 60.0,
-    "gt_len_range": [4.0, 8.0],
-    "dim": 32,
-    **_defaults(SynthConfig),
-}
+SYNTH_DEFAULTS: dict[str, Any] = _defaults(SynthConfig)
 
 # the type of each key whose default is null: a string, or a synth block
 _NULLABLE: dict[str, Any] = {"features_dir": "", "annotations_file": "", "synth": SYNTH_DEFAULTS}

@@ -136,12 +136,12 @@ class FeatureStore:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_train_videos: int
-    n_test_videos: int
-    captions_per_video: int
-    video_len_s: float
-    gt_len_range: tuple[float, float]
-    dim: int
+    n_train_videos: int = 20
+    n_test_videos: int = 5
+    captions_per_video: int = 4
+    video_len_s: float = 60.0
+    gt_len_range: tuple[float, float] = (4.0, 8.0)
+    dim: int = 32
     noise_sigma: float = 0.0
     caption_noise_sigma: float = 0.0
     align_gt_to_seconds: bool = False
@@ -595,9 +595,7 @@ def _place_gt_intervals(cfg: SynthConfig, rng: np.random.Generator) -> list[Inte
     lo, hi = cfg.gt_len_range
     if cfg.align_gt_to_seconds:
         lengths = rng.integers(math.ceil(lo), math.floor(hi) + 1, size=k).astype(float)
-        slack = int(cfg.video_len_s) - int(lengths.sum())
-        if slack < 0:
-            raise ValueError(f"infeasible placement for {cfg}")
+        slack = int(cfg.video_len_s) - int(lengths.sum())  # >= 0: k * floor(hi) <= k * hi <= video_len_s
         gaps = rng.multinomial(slack, [1.0 / (k + 1)] * (k + 1)).astype(float)
     else:
         lengths = rng.uniform(lo, hi, size=k)

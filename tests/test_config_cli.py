@@ -344,6 +344,35 @@ class TestCliExitCodes:
                      "--axis", "topk", "--values", "4.5"]) == 2
         assert "config error: edit.k must be int, got 4.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, err", [
+        ("synth --set synth.gt_len_range=[4]", "config error: synth.gt_len_range must be a list of 2, got [4]"),
+        ("synth --set =3", "config error: --set has empty key: '=3'"),
+        ("synth --config {tmp}/top.json", "config error: {tmp}/top.json: top level must be a JSON object"),
+        ("cotrain --set max_jitter_s=-1", "config error: max_jitter_s must be >= 0, got -1.0"),
+        ("cotrain --set train.learning_rate=-1", "config error: train: learning_rate must be >= 0, got -1.0"),
+        ("cotrain --set train.epochs=-1", "config error: train: epochs must be >= 0, got -1"),
+        ("synth --set synth.gt_len_range=[8,4]",
+         "config error: synth: gt_len_range must satisfy 0 < min <= max, got (8.0, 4.0)"),
+        ("synth --set synth.noise_sigma=-1", "config error: synth: noise sigmas must be >= 0"),
+        ("synth --set synth.dim=0", "config error: synth: dim and captions_per_video must be >= 1"),
+        ("synth --set synth=null --set features_dir={tmp} --set annotations_file={tmp}/a.jsonl",
+         "config error: synth command requires a synth config block"),
+        ("synth --check", "validation error: {out}/iou_hist.csv: unreadable CSV: "
+                          "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["short-list", "empty-set-key", "top-level-list", "negative-max-jitter", "negative-learning-rate",
+            "negative-epochs", "reversed-gt-len-range", "negative-noise-sigma", "zero-dim",
+            "synth-without-synth-block", "stale-non-utf8-csv"])
+    def test_rejected_input_exits_2_with_its_message(self, tmp_path, capsys, argv, err):
+        cfg_path, out = tiny_cli_args(tmp_path)
+        (tmp_path / "top.json").write_text("[1]")
+        Path(out).mkdir()
+        (Path(out) / "iou_hist.csv").write_bytes(b"\xff\xfe")  # a stale output, read only by --check
+        command, *rest = argv.format(tmp=tmp_path).split()
+        if "--config" not in rest:
+            rest += ["--config", cfg_path]
+        assert main([command, "--out", out, *rest]) == 2
+        assert capsys.readouterr().err == err.format(tmp=tmp_path, out=out) + "\n"
+
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[1,2")
@@ -727,6 +756,28 @@ class TestCliExitCodes:
                          init_strategy="prev_gap")
         return write_cfg(tmp_path, cfg, "cfg2.json"), str(ckpt), first["caption_id"]
 
+    @pytest.mark.parametrize("command", ["warmup", "cotrain"])
+    @pytest.mark.parametrize("case", ["no-test-split", "degenerate-initial-test-clip"])
+    def test_test_split_is_checked_before_training(self, tmp_path, capsys, monkeypatch, command, case):
+        if case == "no-test-split":
+            cfg_path, _ = tiny_cli_args(tmp_path)
+            extra = ["--set", "synth.n_test_videos=0"]
+            want = "config error: no test-split captions to evaluate\n"
+        else:
+            cfg_path, _, caption_id = self._gallery_corpus(tmp_path, keep_gt=False)
+            extra = []
+            want = (f"validation error: caption {caption_id}: prev_gap at t=0.0 yields degenerate clip "
+                    "[0.0, 0.0] in video [0.0, 30.0]\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started before the test split was checked")
+        monkeypatch.setattr("clipedit.cli.warmup", no_training)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main([command, "--config", cfg_path, "--out", str(out), *extra]) == 2
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     def test_all_gt_gallery_forms_no_initial_clips(self, tmp_path):
         # prev_gap at t = 0.0 is degenerate, but an all-gt gallery never forms it
         cfg_path, ckpt, _ = self._gallery_corpus(tmp_path, keep_gt=True)
@@ -916,6 +967,20 @@ class TestCliAblate:
         (from_ablate,) = runs
         assert replace(from_ablate, out_dir=from_file.out_dir) == from_set == from_file
         assert from_file != build_run_config(load_config_dict(cfg_path, sets[1:]))
+
+    @pytest.mark.parametrize("axis, values, err", [
+        ("topk", "3,abc", "config error: edit.k must be int, got 'abc'"),
+        ("topk", "3,3", "config error: --values 3 and 3 both name {out}/topk_3"),
+        ("iou_gate", "0.5,5e-1", "config error: --values 0.5 and 0.5 both name {out}/iou_gate_0.5"),
+    ], ids=["bad-second-value", "repeated-value", "one-value-two-spellings"])
+    def test_every_value_is_checked_before_any_run(self, tmp_path, capsys, monkeypatch, axis, values, err):
+        def no_load(run):
+            raise AssertionError("corpus loaded before every value was checked")
+        monkeypatch.setattr("clipedit.cli._load_corpus", no_load)
+        cfg_path, out = tiny_cli_args(tmp_path)
+        assert main(["ablate", "--config", cfg_path, "--out", out, "--axis", axis, "--values", values]) == 2
+        assert capsys.readouterr().err == err.format(out=out) + "\n"
+        assert not Path(out).exists()
 
     def test_init_strategy_value_with_colon_gets_safe_dirname(self, tmp_path):
         cfg_path, out = tiny_cli_args(tmp_path)

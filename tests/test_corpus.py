@@ -184,6 +184,12 @@ class TestFeatureFiles:
         assert back.dtype == np.float32
         assert np.array_equal(back, m)
 
+    def test_one_d_matrix_is_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "x.feat"
+        with pytest.raises(ValueError, match="^feature matrix must be 2-D$"):
+            write_feat_matrix(path, np.zeros(3, dtype=np.float32))
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.feat"
         path.write_bytes(b"NOPE" + b"\x00" * 20)
@@ -349,6 +355,10 @@ class TestReadPath:
 
 
 class TestVideoRecord:
+    def test_features_must_be_2d(self):
+        with pytest.raises(ValueError, match="^video v: features must be 2-D$"):
+            VideoRecord("v", 3.0, np.zeros(3, dtype=np.float32))
+
     def test_row_count_must_match_duration(self):
         with pytest.raises(ValueError, match="rows"):
             VideoRecord("v", 5.0, np.zeros((4, 3), dtype=np.float32))
@@ -704,6 +714,19 @@ class TestClipMean:
     def test_unknown_video(self, tiny_store):
         with pytest.raises(ValueError, match="unknown video_id"):
             clip_means(tiny_store, [ClipRef("vX", Interval(0.0, 2.0))])[0]
+
+    def test_no_refs_give_an_empty_matrix(self, tiny_store):
+        got = clip_means(tiny_store, [])
+        assert got.shape == (0, 0) and got.dtype == np.float32
+
+
+class TestFeatureStoreDim:
+    def test_empty_store_has_no_dimension(self):
+        with pytest.raises(ValueError, match="^empty feature store has no dimension$"):
+            FeatureStore().dim
+
+    def test_caption_only_store_takes_the_caption_dimension(self):
+        assert FeatureStore(caption_features={"c": np.zeros(5, dtype=np.float32)}).dim == 5
 
 
 @st.composite

@@ -1,13 +1,18 @@
 """The package's only runtime dependency outside the standard library is numpy,
 each file format has one parser (JSON Lines one decoder), and the initial-clip,
 unit-norm, Top-K, rounding-bound, projection and config-override rules have one
-copy each, and the encoder weights one layout."""
+copy each, the encoder weights one layout, the CLI's run setup one copy and each
+synth default one declaration."""
 
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from clipedit.config import RunConfig
+from clipedit.corpus import SynthConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {"numpy", "clipedit"}
@@ -158,6 +163,32 @@ def test_config_override_rule_has_one_copy():
             if isinstance(node, ast.Constant) and "unknown config key" in str(node.value)
         ]
     assert users == [("config.py", "_merge")]
+
+
+def test_synth_defaults_are_declared_once():
+    """No dict literal or keyword argument in `config` names a `SynthConfig` field, so a
+    synth default declared beside its dataclass fails here. `seed` is left out: it also
+    names the run-level key that `DEFAULTS` declares."""
+    names = {f.name for f in fields(SynthConfig)} - {f.name for f in fields(RunConfig)}
+    tree = ast.parse((ROOT / "src" / "clipedit" / "config.py").read_text(encoding="utf-8"))
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys |= {key.value for key in node.keys if isinstance(key, ast.Constant)}
+        elif isinstance(node, ast.keyword):
+            keys.add(node.arg)
+    assert not keys & names, sorted(keys & names)
+
+
+def test_cli_run_setup_has_one_copy():
+    """In `cli`, only `_setup` calls `warmup` and `apply_jitter`, so a second copy of
+    the run setup (load, jittered initial assignment, warm-up) fails here."""
+    tree = ast.parse((ROOT / "src" / "clipedit" / "cli.py").read_text(encoding="utf-8"))
+    callers = [
+        (getattr(stmt, "name", "<module>"), node.func.id) for stmt in tree.body for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("warmup", "apply_jitter")
+    ]
+    assert sorted(callers) == [("_setup", "apply_jitter"), ("_setup", "warmup")]
 
 
 WEIGHTS = {"W_v", "b_v", "W_c", "b_c"}

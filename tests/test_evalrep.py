@@ -137,6 +137,11 @@ class TestEvaluateRetrieval:
         assert m.r_at[1] <= m.r_at[5] <= m.r_at[10] <= 1.0
         assert 1.0 <= m.med_r <= m.n_queries
 
+    def test_no_queries_rejected(self):
+        store, gallery = separable_store(3)
+        with pytest.raises(ValueError, match="^no queries$"):
+            evaluate_retrieval(EncoderParams.identity(16), store, [], gallery)
+
     def test_query_without_gallery_clip_rejected(self):
         store, gallery = separable_store(3)
         with pytest.raises(ValueError, match="cX"):

@@ -296,6 +296,10 @@ class TestInitStrategyParse:
         with pytest.raises(ValueError):
             InitStrategy.parse("next_gap:3")
 
+    def test_width_only_for_fixed_half_width(self):
+        with pytest.raises(ValueError, match="^half_width_s is only valid for fixed_half_width, not next_gap$"):
+            InitStrategy("next_gap", 3.0)
+
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
             InitStrategy("fixed_half_width", 0.0)
